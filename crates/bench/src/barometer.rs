@@ -289,7 +289,6 @@ impl Scenario {
                 let iters = p.req_int("iters")? as usize;
                 let nodes = p.req_int("nodes")? as u32;
                 let nranks = p.req_int("nranks")? as u32;
-                let threads = (p.int("threads", 1)? as usize).max(1);
                 let mode = match kind.as_str() {
                     "fig8_plain" => Fig8Mode::Plain,
                     "fig8_traced" => Fig8Mode::Traced,
@@ -305,7 +304,7 @@ impl Scenario {
                     warmup,
                     iters,
                     mode,
-                    threads,
+                    threads: 1,
                 })
             }
             other => return Err(format!("{file}: unknown kind `{other}`")),
@@ -316,14 +315,14 @@ impl Scenario {
 
     /// Run the scenario at the given scale.
     pub fn run(&self, scale: Scale) -> PerfResult {
-        self.run_with_threads(scale, None)
+        self.run_with_pool(scale, None)
     }
 
     /// Run the scenario at the given scale, optionally overriding the
     /// worker-pool width. Only the fig8 sweep has independent per-size
     /// runs to fan out; the other kinds are single-world hot-path probes
     /// and ignore the override.
-    pub fn run_with_threads(&self, scale: Scale, threads: Option<usize>) -> PerfResult {
+    pub fn run_with_pool(&self, scale: Scale, threads: Option<usize>) -> PerfResult {
         fn pick<T>(scale: Scale, q: T, f: T) -> T {
             match scale {
                 Scale::Quick => q,
@@ -524,7 +523,7 @@ impl LedgerEntry {
                 .parse()
                 .map_err(|e| format!("field `events`: {e}"))?,
             events_per_sec: num("events_per_sec")?,
-            // Absent on ledger lines written before the sharded core:
+            // Absent on ledger lines written before pooled sweeps:
             // those were all sequential runs on unrecorded hardware.
             threads: match fields.get("threads") {
                 Some(v) => v.parse().map_err(|e| format!("field `threads`: {e}"))?,
@@ -883,6 +882,20 @@ cout_quick = 300
         let pairs = parse_flat_toml(doc).unwrap();
         let err = Scenario::from_pairs("m.toml", pairs).unwrap_err();
         assert!(err.contains("unknown key `cout_quick`"), "{err}");
+
+        // The sweep pool width is a `bench record --threads` option, never
+        // a scenario key.
+        let doc = r#"
+name = "f"
+kind = "fig8_plain"
+iters = 1
+nodes = 2
+nranks = 32
+threads = 4
+"#;
+        let pairs = parse_flat_toml(doc).unwrap();
+        let err = Scenario::from_pairs("f.toml", pairs).unwrap_err();
+        assert!(err.contains("unknown key `threads`"), "{err}");
     }
 
     #[test]
@@ -924,7 +937,7 @@ cout_quick = 300
 
     #[test]
     fn ledger_lines_without_thread_fields_parse_as_sequential() {
-        // A line written before the sharded core existed: no `threads`,
+        // A line written before pooled sweeps existed: no `threads`,
         // no `host_cores`. It must still load, as a 1-thread entry.
         let line = "{\"scenario\": \"s1\", \"pr\": 5, \"rev\": \"abcd\", \"scale\": \"quick\", \
                     \"wall_ms\": 100.000, \"wall_min_ms\": 95.000, \"wall_max_ms\": 112.500, \

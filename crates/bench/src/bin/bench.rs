@@ -145,7 +145,7 @@ fn run(cli: Cli) -> Result<(), String> {
             }
             let mut entries = Vec::new();
             for s in &corpus {
-                let r = s.run_with_threads(scale, cli.threads);
+                let r = s.run_with_pool(scale, cli.threads);
                 println!(
                     "{:<32} {:>10.2} ms ({:.2}-{:.2})  {:>12.0} events/s  t{}",
                     r.name, r.wall_ms, r.wall_min_ms, r.wall_max_ms, r.events_per_sec, r.threads

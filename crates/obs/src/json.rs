@@ -386,8 +386,6 @@ fn parse_gauge_metric(s: &str) -> Result<GaugeMetric, String> {
         "event_queue_len" => GaugeMetric::EventQueueLen,
         "link_util" => GaugeMetric::LinkUtil,
         "link_flows" => GaugeMetric::LinkFlows,
-        "par_epochs" => GaugeMetric::ParEpochs,
-        "cross_shard_events" => GaugeMetric::CrossShardEvents,
         other => return Err(format!("unknown gauge metric {other:?}")),
     })
 }
@@ -635,6 +633,12 @@ mod tests {
     fn rejects_wrong_format() {
         assert!(from_json("{\"format\":\"something-else\"}").is_err());
         assert!(from_json("not json").is_err());
+        let text = to_json(&sample()).replace("\"link_util\"", "\"retired_gauge\"");
+        let err = from_json(&text).unwrap_err();
+        assert!(
+            err.contains("unknown gauge metric \"retired_gauge\""),
+            "{err}"
+        );
     }
 
     #[test]

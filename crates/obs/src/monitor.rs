@@ -9,8 +9,8 @@
 //! posted/unexpected queue depths, per-link utilization, in-flight
 //! bytes, retransmit/ack counters). Four typed detectors run over
 //! consecutive snapshots, entirely in integer arithmetic, so the alert
-//! stream is a pure function of the event stream — byte-identical at
-//! any worker-thread count:
+//! stream is a pure function of the event stream — byte-identical on
+//! every rerun of the same inputs:
 //!
 //! * **straggler** — once a configurable quorum of ranks has finished,
 //!   a rank still unfinished past `factor ×` the quorum-percentile
@@ -618,8 +618,8 @@ impl Monitor {
 
 /// Serialize a health report as the `adapt-obs-health-v1` artifact.
 /// Hand-rolled with a fixed key order, so the bytes are a pure function
-/// of the report — the thread-count invariance tests compare these
-/// strings directly.
+/// of the report — the golden health fixture compares these strings
+/// directly.
 pub fn health_json(r: &HealthReport) -> String {
     use std::fmt::Write;
     let mut o = String::with_capacity(1024);

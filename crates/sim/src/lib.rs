@@ -15,7 +15,6 @@ pub mod fxhash;
 pub mod pool;
 pub mod queue;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
@@ -23,6 +22,5 @@ pub use audit::{AuditReport, RankAudit};
 pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue, QueueAudit};
 pub use rng::{MasterSeed, StreamTag};
-pub use shard::{Outbox, ShardCounters, ShardModel, ShardRunStats, ShardSim, ShardedQueue};
 pub use stats::Summary;
 pub use time::{Duration, Time};

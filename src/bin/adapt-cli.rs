@@ -28,10 +28,14 @@ const EXIT_STALLED: i32 = 3;
 /// from both a plain deadlock ([`EXIT_STALLED`]) and argument errors.
 const EXIT_FAILED: i32 = 4;
 
+/// Exit code for a command line naming a flag that is not in [`FLAGS`].
+const EXIT_USAGE: i32 = 2;
+
 /// Every flag the CLI understands: `(name, value placeholder, help)`.
 /// An empty placeholder marks a boolean flag. The usage string is
-/// generated from this table, and [`arg`]/[`flag`] refuse names that are
-/// not in it — a flag cannot be parsed without appearing in the usage.
+/// generated from this table, [`arg`]/[`flag`] refuse names that are
+/// not in it — a flag cannot be parsed without appearing in the usage —
+/// and a command line naming any other `--flag` is rejected up front.
 const FLAGS: &[(&str, &str, &str)] = &[
     (
         "machine",
@@ -52,12 +56,6 @@ const FLAGS: &[(&str, &str, &str)] = &[
     ("msg", "BYTES", "message size (default 4 MiB)"),
     ("noise", "PCT", "noise intensity percent (default 0)"),
     ("seed", "S", "master seed (default 1)"),
-    (
-        "threads",
-        "N",
-        "activate the sharded event core with N worker threads \
-(byte-identical results; default: the pristine sequential core)",
-    ),
     ("gpu", "", "run the GPU path (bcast/reduce only)"),
     ("trace", "FILE.csv", "write the event trace as CSV"),
     ("describe", "", "print the machine topology and exit"),
@@ -142,6 +140,14 @@ fn usage() -> String {
 
 fn known(key: &str) -> bool {
     FLAGS.iter().any(|&(name, _, _)| name == key)
+}
+
+/// The first `--name` argument that is not a known flag. Flag values never
+/// start with `--`, so every such argument must name a flag.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    args.iter()
+        .filter_map(|a| a.strip_prefix("--"))
+        .find(|name| !known(name))
 }
 
 fn arg(args: &[String], key: &str) -> Option<String> {
@@ -467,6 +473,11 @@ impl FaultArgs {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(name) = unknown_flag(&args) {
+        eprint!("{}", usage());
+        eprintln!("adapt-cli: unknown flag --{name}");
+        std::process::exit(EXIT_USAGE);
+    }
     if flag(&args, "help") || args.is_empty() {
         eprint!("{}", usage());
         return;
@@ -493,20 +504,6 @@ fn main() {
         .unwrap_or(1);
     let op = arg(&args, "op").unwrap_or_else(|| "bcast".into());
     let lib = arg(&args, "lib").unwrap_or_else(|| "adapt".into());
-    let threads: Option<usize> = arg(&args, "threads").map(|s| {
-        let t: usize = s.parse().expect("threads");
-        assert!(t >= 1, "--threads must be at least 1");
-        t
-    });
-    // Route every CPU world through the sharded core when asked. The
-    // results are byte-identical either way; the sharded run additionally
-    // reports the par_epochs / cross_shard_events counters.
-    let shard = move |world: World| -> World {
-        match threads {
-            Some(t) => world.with_threads(t),
-            None => world,
-        }
-    };
     let faults = FaultArgs::parse(&args, seed);
     let whatif = WhatIfArgs::parse(&args);
     let monitor = MonitorArgs::parse(&args);
@@ -523,10 +520,6 @@ fn main() {
         assert!(
             !monitor.active(),
             "--monitor/--health-out snapshot the CPU event loop; drop --gpu"
-        );
-        assert!(
-            threads.is_none(),
-            "--threads shards the CPU event core; drop --gpu"
         );
         let library = match lib.as_str() {
             "adapt" => GpuLibrary::OmpiAdapt,
@@ -626,7 +619,7 @@ fn main() {
                 "--whatif/--diff-against/--obs-out need the full recorder; \
                  drop --summary-out/--flight"
             );
-            let mut world = monitor.attach(shard(World::cpu(machine, nranks, noise_model)));
+            let mut world = monitor.attach(World::cpu(machine, nranks, noise_model));
             if obs.wanted() || whatif.wanted() {
                 world = world.with_recorder(obs.recorder());
             }
@@ -680,11 +673,7 @@ fn main() {
         let noise_model =
             adapt::collectives::noise_for_case(&case, NoiseScope::PerNode, noise, seed);
         let world = monitor
-            .attach(shard(World::cpu(
-                case.machine.clone(),
-                case.nranks,
-                noise_model,
-            )))
+            .attach(World::cpu(case.machine.clone(), case.nranks, noise_model))
             .enable_trace();
         let res = faults.run(world, case.programs());
         std::fs::write(&path, adapt::mpi::trace_to_csv(&res.trace)).expect("write trace");
@@ -711,7 +700,7 @@ fn main() {
         // never perturbs the simulation.
         let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
         let res = faults.run(
-            monitor.attach(shard(world)).with_recorder(obs.recorder()),
+            monitor.attach(world).with_recorder(obs.recorder()),
             programs,
         );
         dump_flight_on_dirty_audit(&res);
@@ -747,7 +736,7 @@ fn main() {
     }
     if faults.active() {
         let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = faults.run(monitor.attach(shard(world)), programs);
+        let res = faults.run(monitor.attach(world), programs);
         assert!(res.audit.is_clean(), "{}", res.audit);
         println!(
             "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {:.1} us",
@@ -760,13 +749,12 @@ fn main() {
         monitor.emit(&res);
         return;
     }
-    if threads.is_some() || monitor.active() {
+    if monitor.active() {
         // Same world and programs as run_once_scoped, routed through the
-        // sharded core and/or the health monitor — the printed times must
-        // match the plain run byte for byte; only the epoch counters and
-        // the health block are new.
+        // health monitor — the printed times must match the plain run
+        // byte for byte; only the health block is new.
         let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
-        let res = monitor.attach(shard(world)).run(programs);
+        let res = monitor.attach(world).run(programs);
         assert!(res.audit.is_clean(), "{}", res.audit);
         println!(
             "{op} ({}) on {nranks} ranks, {msg} bytes, {noise}% noise: {:.1} us",
