@@ -28,6 +28,7 @@ use crate::perf::{
     bench_matching_unexpected_with, ChurnParams, Fig8Mode, Fig8Params, MatchingParams, PerfResult,
 };
 use crate::Scale;
+use adapt_sim::QueueCounters;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -401,6 +402,9 @@ pub struct LedgerEntry {
     pub wall_max_ms: f64,
     /// Simulator events per iteration.
     pub events: u64,
+    /// Event-queue work per iteration (all zero on ledger lines written
+    /// before the queue counted its work).
+    pub queue: QueueCounters,
     /// The figure of merit.
     pub events_per_sec: f64,
     /// Worker threads the scenario ran on (1 = sequential). `diff` and
@@ -429,6 +433,7 @@ impl LedgerEntry {
             wall_min_ms: r.wall_min_ms,
             wall_max_ms: r.wall_max_ms,
             events: r.events,
+            queue: r.queue,
             events_per_sec: r.events_per_sec,
             threads: r.threads as u32,
             host_cores: adapt_sim::WorkerPool::host_threads() as u32,
@@ -453,7 +458,9 @@ impl LedgerEntry {
         format!(
             "{{\"scenario\": \"{}\", \"pr\": {}, \"rev\": \"{}\", \"scale\": \"{}\", \
              \"wall_ms\": {:.3}, \"wall_min_ms\": {:.3}, \"wall_max_ms\": {:.3}, \
-             \"events\": {}, \"events_per_sec\": {:.1}, \"threads\": {}, \"host_cores\": {}}}",
+             \"events\": {}, \"events_per_sec\": {:.1}, \"threads\": {}, \"host_cores\": {}, \
+             \"queue_heap_pushes\": {}, \"queue_lane_pushes\": {}, \"queue_reschedules\": {}, \
+             \"queue_cancels\": {}}}",
             self.scenario,
             self.pr,
             self.rev,
@@ -464,12 +471,17 @@ impl LedgerEntry {
             self.events,
             self.events_per_sec,
             self.threads,
-            self.host_cores
+            self.host_cores,
+            self.queue.heap_pushes,
+            self.queue.lane_pushes,
+            self.queue.reschedules,
+            self.queue.cancels
         )
     }
 
     /// Parse one ledger line. Tolerates unknown fields (forward
-    /// compatibility) but requires every field above.
+    /// compatibility) and defaults the fields older lines lack
+    /// (`threads`, `host_cores`, the queue counters); requires the rest.
     pub fn parse_line(line: &str) -> Result<LedgerEntry, String> {
         let inner = line
             .trim()
@@ -511,6 +523,11 @@ impl LedgerEntry {
         let num = |k: &str| -> Result<f64, String> {
             get(k)?.parse().map_err(|e| format!("field `{k}`: {e}"))
         };
+        let count = |k: &str| -> Result<u64, String> {
+            fields.get(k).map_or(Ok(0), |v| {
+                v.parse().map_err(|e| format!("field `{k}`: {e}"))
+            })
+        };
         Ok(LedgerEntry {
             scenario: get("scenario")?,
             pr: get("pr")?.parse().map_err(|e| format!("field `pr`: {e}"))?,
@@ -522,6 +539,12 @@ impl LedgerEntry {
             events: get("events")?
                 .parse()
                 .map_err(|e| format!("field `events`: {e}"))?,
+            queue: QueueCounters {
+                heap_pushes: count("queue_heap_pushes")?,
+                lane_pushes: count("queue_lane_pushes")?,
+                reschedules: count("queue_reschedules")?,
+                cancels: count("queue_cancels")?,
+            },
             events_per_sec: num("events_per_sec")?,
             // Absent on ledger lines written before pooled sweeps:
             // those were all sequential runs on unrecorded hardware.
@@ -783,6 +806,7 @@ pub fn import_legacy(text: &str, pr: u32, rev: &str) -> Result<Vec<LedgerEntry>,
                 wall_min_ms: 0.0,
                 wall_max_ms: 0.0,
                 events: 0,
+                queue: QueueCounters::default(),
                 events_per_sec: 0.0,
                 threads: 1,
                 host_cores: 0,
@@ -824,6 +848,12 @@ mod tests {
             wall_min_ms: 95.0,
             wall_max_ms: 112.5,
             events: 1_000_000,
+            queue: QueueCounters {
+                heap_pushes: 700_000,
+                lane_pushes: 300_000,
+                reschedules: 5_000,
+                cancels: 40,
+            },
             events_per_sec: eps,
             threads: 1,
             host_cores: 16,
@@ -938,13 +968,15 @@ threads = 4
     #[test]
     fn ledger_lines_without_thread_fields_parse_as_sequential() {
         // A line written before pooled sweeps existed: no `threads`,
-        // no `host_cores`. It must still load, as a 1-thread entry.
+        // no `host_cores`, no queue counters. It must still load, as a
+        // 1-thread entry with zero counted queue work.
         let line = "{\"scenario\": \"s1\", \"pr\": 5, \"rev\": \"abcd\", \"scale\": \"quick\", \
                     \"wall_ms\": 100.000, \"wall_min_ms\": 95.000, \"wall_max_ms\": 112.500, \
                     \"events\": 1000000, \"events_per_sec\": 1000.0}";
         let e = LedgerEntry::parse_line(line).unwrap();
         assert_eq!(e.threads, 1);
         assert_eq!(e.host_cores, 0);
+        assert_eq!(e.queue, QueueCounters::default());
         assert_eq!(e.series(), "s1");
     }
 

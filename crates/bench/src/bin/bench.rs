@@ -146,9 +146,20 @@ fn run(cli: Cli) -> Result<(), String> {
             let mut entries = Vec::new();
             for s in &corpus {
                 let r = s.run_with_pool(scale, cli.threads);
+                let q = r.queue;
                 println!(
-                    "{:<32} {:>10.2} ms ({:.2}-{:.2})  {:>12.0} events/s  t{}",
-                    r.name, r.wall_ms, r.wall_min_ms, r.wall_max_ms, r.events_per_sec, r.threads
+                    "{:<32} {:>10.2} ms ({:.2}-{:.2})  {:>12.0} events/s  t{}  \
+                     queue heap/lane/resched/cancel={}/{}/{}/{}",
+                    r.name,
+                    r.wall_ms,
+                    r.wall_min_ms,
+                    r.wall_max_ms,
+                    r.events_per_sec,
+                    r.threads,
+                    q.heap_pushes,
+                    q.lane_pushes,
+                    q.reschedules,
+                    q.cancels
                 );
                 entries.push(LedgerEntry::from_result(&r, pr, &rev, scale));
             }

@@ -36,7 +36,7 @@ use adapt_mpi::{Completion, Op, Payload, ProgramCtx, RankProgram, Token, World, 
 use adapt_net::{FlowId, FlowScheduler, FlowSpec, Link, LinkClass, LinkId, NetStep, Network, Path};
 use adapt_noise::ClusterNoise;
 use adapt_obs::{MemRecorder, Monitor, StreamRecorder};
-use adapt_sim::queue::{EventKey, EventQueue};
+use adapt_sim::queue::{EventKey, EventQueue, QueueCounters};
 use adapt_sim::time::{Duration as SimDuration, Time};
 use adapt_sim::WorkerPool;
 use adapt_topology::profiles;
@@ -61,6 +61,8 @@ pub struct PerfResult {
     pub match_probes: u64,
     /// Fair-share recomputations in one iteration (0 where untracked).
     pub share_recomputes: u64,
+    /// Event-queue work in one iteration.
+    pub queue: QueueCounters,
     /// Worker threads the scenario ran on (1 = the sequential engine).
     /// Throughput at different widths is not comparable — the ledger keys
     /// on this so a diff never pairs them silently.
@@ -303,6 +305,9 @@ impl FlowScheduler for BenchSched {
     fn cancel(&mut self, key: EventKey) {
         self.0.cancel(key);
     }
+    fn reschedule(&mut self, old: EventKey, at: Time, flow: FlowId) -> EventKey {
+        self.0.reschedule(old, at, flow)
+    }
 }
 
 /// Parameters of the flow-churn scenario.
@@ -343,7 +348,7 @@ pub fn bench_flow_churn(scale: Scale) -> PerfResult {
 /// [`bench_flow_churn`] with explicit parameters.
 pub fn bench_flow_churn_with(p: &ChurnParams) -> PerfResult {
     let (lanes, flows) = (p.lanes, p.flows);
-    let (t, (events, perf)) = time_median(p.warmup, p.iters, || {
+    let (t, (events, perf, queue)) = time_median(p.warmup, p.iters, || {
         let mut links = vec![Link {
             class: LinkClass::Backbone,
             capacity: 100e9,
@@ -405,7 +410,7 @@ pub fn bench_flow_churn_with(p: &ChurnParams) -> PerfResult {
         }
         assert_eq!(net.active_flows(), 0);
         assert_eq!(net.injected_bytes(), net.delivered_bytes());
-        (events, net.perf_counters())
+        (events, net.perf_counters(), q.0.counters())
     });
     PerfResult {
         name: "flow_churn".into(),
@@ -416,6 +421,7 @@ pub fn bench_flow_churn_with(p: &ChurnParams) -> PerfResult {
         events_per_sec: events as f64 / (t.median_ms / 1e3),
         match_probes: 0,
         share_recomputes: perf.share_recomputes,
+        queue,
         threads: 1,
     }
 }
@@ -711,6 +717,10 @@ pub fn bench_fig8_with(name: &str, p: &Fig8Params) -> PerfResult {
             sum.events += stats.events;
             sum.match_probes += stats.match_probes;
             sum.net_share_recomputes += stats.net_share_recomputes;
+            sum.queue_heap_pushes += stats.queue_heap_pushes;
+            sum.queue_lane_pushes += stats.queue_lane_pushes;
+            sum.queue_reschedules += stats.queue_reschedules;
+            sum.queue_cancels += stats.queue_cancels;
         }
         sum
     });
@@ -729,6 +739,7 @@ fn result(name: &str, t: Timing, stats: WorldStats) -> PerfResult {
         events_per_sec: stats.events as f64 / (t.median_ms / 1e3),
         match_probes: stats.match_probes,
         share_recomputes: stats.net_share_recomputes,
+        queue: stats.queue(),
         threads: 1,
     }
 }
@@ -887,6 +898,7 @@ mod tests {
             events_per_sec: 80_000.0,
             match_probes: 42,
             share_recomputes: 7,
+            queue: QueueCounters::default(),
             threads: 1,
         }];
         let json = to_json(Scale::Quick, &results, &[]);

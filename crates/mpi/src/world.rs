@@ -34,7 +34,7 @@ use adapt_obs::{
 };
 use adapt_sim::audit::{AuditReport, RankAudit};
 use adapt_sim::fxhash::{FxHashMap, FxHashSet};
-use adapt_sim::queue::{EventKey, EventQueue};
+use adapt_sim::queue::{EventKey, EventQueue, QueueCounters};
 use adapt_sim::rng::{MasterSeed, StreamTag};
 use adapt_sim::time::{Duration, Time};
 use adapt_topology::{MachineSpec, MemSpace, Placement, Rank};
@@ -138,7 +138,7 @@ enum Ev {
         path: Path,
         bytes: u64,
     },
-    /// Retransmit timer for a reliable transfer lane (tracked so the ack
+    /// Retransmit timer for a reliable transfer lane (keyed so the ack
     /// can cancel it).
     Timer {
         key: XferKey,
@@ -584,6 +584,29 @@ world_stats! {
     /// Rank failures the heartbeat detector converged on and announced
     /// to survivors.
     failures_detected,
+    /// Event-queue diagnostics: schedules pushed onto the heap (due after
+    /// the instant being processed).
+    queue_heap_pushes,
+    /// Event-queue diagnostics: schedules appended to the same-instant
+    /// FIFO lane (due at the instant being processed, or clamped to it).
+    queue_lane_pushes,
+    /// Event-queue diagnostics: drain reschedules that re-keyed a heap
+    /// entry in place.
+    queue_reschedules,
+    /// Event-queue diagnostics: heap entries removed by a cancel.
+    queue_cancels,
+}
+
+impl WorldStats {
+    /// The event-queue counters, in the queue's own type.
+    pub fn queue(&self) -> QueueCounters {
+        QueueCounters {
+            heap_pushes: self.queue_heap_pushes,
+            lane_pushes: self.queue_lane_pushes,
+            reschedules: self.queue_reschedules,
+            cancels: self.queue_cancels,
+        }
+    }
 }
 
 /// Outcome of a completed simulation.
@@ -631,6 +654,9 @@ impl FlowScheduler for QueueSched<'_> {
     fn cancel(&mut self, key: EventKey) {
         self.0.cancel(key);
     }
+    fn reschedule(&mut self, old: EventKey, at: Time, flow: FlowId) -> EventKey {
+        self.0.reschedule(old, at, Ev::Net(flow))
+    }
 }
 
 /// Operation sink handed to program handlers (implements [`ProgramCtx`]).
@@ -669,6 +695,14 @@ impl ProgramCtx for OpSink<'_> {
         self.ops.push(op);
     }
 }
+
+/// Largest `World::ops_scratch` capacity kept between callbacks. Most
+/// callbacks post a handful of ops; a rare large fan-out (a flat-tree root
+/// posting one send per rank) frees its buffer at once instead of pinning
+/// it until the world drops, where a late large free lets the allocator
+/// hand heap back to the OS that the next world's set-up must fault in
+/// again.
+const OPS_SCRATCH_MAX: usize = 64;
 
 /// The simulated job: machine + placement + noise + rank programs.
 pub struct World {
@@ -729,6 +763,10 @@ pub struct World {
     /// the rank table so a 10µs monitor cadence stays within the
     /// barometer's 5% overhead gate.
     snap_scratch: SnapScratch,
+    /// Reusable [`OpSink`] buffer: every program callback posts into it
+    /// and [`World::apply_ops`] drains it, so callbacks do not allocate.
+    /// Capped at `OPS_SCRATCH_MAX`.
+    ops_scratch: Vec<Op>,
 }
 
 /// Per-rank columns of one monitor snapshot (see [`World::on_snapshot`]).
@@ -778,6 +816,7 @@ impl World {
             monitor: None,
             util_scratch: Vec::new(),
             snap_scratch: SnapScratch::default(),
+            ops_scratch: Vec::new(),
         }
     }
 
@@ -927,7 +966,7 @@ impl World {
         );
         self.programs = programs.into_iter().map(Some).collect();
         for r in 0..self.nranks() {
-            self.queue.schedule_untracked(
+            self.queue.schedule(
                 Time::ZERO,
                 Ev::Rank {
                     rank: r,
@@ -943,7 +982,7 @@ impl World {
             let nlinks = self.net.links().len() as u32;
             for d in &fs.plan.degrade {
                 for link in 0..nlinks {
-                    self.queue.schedule_untracked(
+                    self.queue.schedule(
                         d.window.0,
                         Ev::FaultCmd {
                             link,
@@ -951,7 +990,7 @@ impl World {
                             lat: d.lat_factor,
                         },
                     );
-                    self.queue.schedule_untracked(
+                    self.queue.schedule(
                         d.window.1,
                         Ev::FaultCmd {
                             link,
@@ -975,7 +1014,7 @@ impl World {
                     .map(|(i, _)| i as u32)
                     .collect();
                 for link in matching {
-                    self.queue.schedule_untracked(
+                    self.queue.schedule(
                         d.window.0,
                         Ev::FaultCmd {
                             link,
@@ -983,7 +1022,7 @@ impl World {
                             lat: d.lat_factor,
                         },
                     );
-                    self.queue.schedule_untracked(
+                    self.queue.schedule(
                         d.window.1,
                         Ev::FaultCmd {
                             link,
@@ -1020,7 +1059,7 @@ impl World {
             _ => Vec::new(),
         };
         for (at, rank) in kills {
-            self.queue.schedule_untracked(at, Ev::Kill { rank });
+            self.queue.schedule(at, Ev::Kill { rank });
         }
 
         if self.obs_on {
@@ -1055,7 +1094,7 @@ impl World {
             let iv = mon.interval_ns();
             // First snapshot one interval in: at t=0 nothing has run, so
             // a snapshot there would only dilute every detector's window.
-            self.queue.schedule_untracked(Time(iv), Ev::Snapshot);
+            self.queue.schedule(Time(iv), Ev::Snapshot);
             self.monitor = Some(mon);
         }
         let sample_iv = if self.obs_on {
@@ -1142,6 +1181,11 @@ impl World {
         self.stats.net_refreshes = net_perf.refreshes;
         self.stats.net_reschedules = net_perf.reschedules;
         self.stats.net_share_recomputes = net_perf.share_recomputes;
+        let qc = self.queue.counters();
+        self.stats.queue_heap_pushes = qc.heap_pushes;
+        self.stats.queue_lane_pushes = qc.lane_pushes;
+        self.stats.queue_reschedules = qc.reschedules;
+        self.stats.queue_cancels = qc.cancels;
         let audit = self.build_audit();
         let mut trace = self.trace.take().unwrap_or_default();
         // Ops are recorded at their (possibly future) execution instants in
@@ -1364,8 +1408,7 @@ impl World {
         fs.any_dead = true;
         let detect_at = t + fs.detect_delay();
         self.stats.ranks_killed += 1;
-        self.queue
-            .schedule_untracked(detect_at, Ev::Detect { rank });
+        self.queue.schedule(detect_at, Ev::Detect { rank });
         let state = &mut self.ranks[rank as usize];
         if state.finished_at.is_none() {
             // The killed rank's clock stops here. Counting it as finished
@@ -1409,7 +1452,7 @@ impl World {
         // by message id keeps the event schedule deterministic.
         to_complete.sort_unstable_by_key(|&(m, _, _)| m);
         for (m, src, token) in to_complete {
-            self.queue.schedule_untracked(
+            self.queue.schedule(
                 t,
                 Ev::Rank {
                     rank: src,
@@ -1465,7 +1508,7 @@ impl World {
                 now: t,
                 placement: &self.placement,
                 spec: &self.spec,
-                ops: Vec::new(),
+                ops: std::mem::take(&mut self.ops_scratch),
             };
             prog.on_peer_failed(&mut sink, dead, active);
             sink.ops
@@ -1729,7 +1772,7 @@ impl World {
             // Retransmitted duplicate: the lane was already processed
             // (its message may be long gone) — just ack again.
             self.stats.duplicates_suppressed += 1;
-            self.queue.schedule_untracked(
+            self.queue.schedule(
                 t,
                 Ev::Launch {
                     kind: FlowKind::Ack { key, from },
@@ -1759,7 +1802,7 @@ impl World {
             .route(self.placement.host_mem(from), self.placement.host_mem(to));
         let fs = self.faults.as_mut().expect("faults active");
         fs.seen.insert(key, (from, back));
-        self.queue.schedule_untracked(
+        self.queue.schedule(
             t,
             Ev::Launch {
                 kind: FlowKind::Ack { key, from },
@@ -1942,7 +1985,7 @@ impl World {
         }
         if self.finished < self.nranks() && !self.queue.is_empty() {
             self.queue
-                .schedule_untracked(t + Duration(mon.interval_ns()), Ev::Snapshot);
+                .schedule(t + Duration(mon.interval_ns()), Ev::Snapshot);
         }
         self.monitor = Some(mon);
     }
@@ -1979,7 +2022,7 @@ impl World {
                         }
                         let msg = &self.msgs[&m];
                         let (src, token) = (msg.src, msg.send_token);
-                        self.queue.schedule_untracked(
+                        self.queue.schedule(
                             t,
                             Ev::Rank {
                                 rank: src,
@@ -2044,7 +2087,7 @@ impl World {
                         unreachable!("acks are consumed by the reliability layer")
                     }
                 };
-                self.queue.schedule_untracked(t, Ev::Rank { rank, item });
+                self.queue.schedule(t, Ev::Rank { rank, item });
             }
             NetStep::Dropped(d) => {
                 // An injected fault ate the flow: bandwidth was spent but
@@ -2191,8 +2234,7 @@ impl World {
 
         let ready = self.cpu_ready(rank, t);
         if ready > t {
-            self.queue
-                .schedule_untracked(ready, Ev::Rank { rank, item });
+            self.queue.schedule(ready, Ev::Rank { rank, item });
             return;
         }
 
@@ -2231,7 +2273,7 @@ impl World {
                     self.obs
                         .protocol(rank, t.as_nanos(), at.as_nanos(), ProtoKind::DataLaunch, m);
                 }
-                self.queue.schedule_untracked(
+                self.queue.schedule(
                     at,
                     Ev::Launch {
                         kind: FlowKind::RndvData(m),
@@ -2350,7 +2392,7 @@ impl World {
             self.obs
                 .protocol(rank, t.as_nanos(), at.as_nanos(), ProtoKind::CtsSend, m);
         }
-        self.queue.schedule_untracked(
+        self.queue.schedule(
             at,
             Ev::Launch {
                 kind: FlowKind::Cts(m),
@@ -2366,7 +2408,7 @@ impl World {
         if self.obs_on {
             self.obs.msg_event(m, MsgEvent::RecvReady, t.as_nanos());
         }
-        self.queue.schedule_untracked(
+        self.queue.schedule(
             t,
             Ev::Rank {
                 rank,
@@ -2456,7 +2498,7 @@ impl World {
                 now: t,
                 placement: &self.placement,
                 spec: &self.spec,
-                ops: Vec::new(),
+                ops: std::mem::take(&mut self.ops_scratch),
             };
             match completion {
                 None => prog.on_start(&mut sink),
@@ -2481,16 +2523,18 @@ impl World {
         }
     }
 
+    /// Apply the ops a callback posted, then hand the emptied buffer back
+    /// as the next callback's [`OpSink`] buffer.
     fn apply_ops(
         &mut self,
         rank: Rank,
         t: Time,
         base_cost: Duration,
-        ops: Vec<Op>,
+        mut ops: Vec<Op>,
         trigger: Option<Trigger>,
     ) {
         let mut cost = base_cost;
-        for op in ops {
+        for op in ops.drain(..) {
             match op {
                 Op::Isend {
                     dst,
@@ -2537,7 +2581,7 @@ impl World {
                                 false,
                             );
                         }
-                        self.queue.schedule_untracked(
+                        self.queue.schedule(
                             done,
                             Ev::Rank {
                                 rank,
@@ -2563,7 +2607,7 @@ impl World {
                             self.obs
                                 .compute(rank, token.0, begin.as_nanos(), at.as_nanos(), false);
                         }
-                        self.queue.schedule_untracked(
+                        self.queue.schedule(
                             at,
                             Ev::Rank {
                                 rank,
@@ -2591,7 +2635,7 @@ impl World {
                         self.obs
                             .compute(rank, token.0, start.as_nanos(), done.as_nanos(), true);
                     }
-                    self.queue.schedule_untracked(
+                    self.queue.schedule(
                         done,
                         Ev::Rank {
                             rank,
@@ -2612,7 +2656,7 @@ impl World {
                     let at = self.finish_rank_work(rank, t, cost);
                     let path = self.fabric.route(from, to);
                     self.byte_audit.copy_posted += bytes;
-                    self.queue.schedule_untracked(
+                    self.queue.schedule(
                         at,
                         Ev::Launch {
                             kind: FlowKind::Copy { rank, token, bytes },
@@ -2652,6 +2696,9 @@ impl World {
             state.busy_until = state.busy_until.max(done);
         }
         state.busy_accum += cost;
+        if ops.capacity() <= OPS_SCRATCH_MAX {
+            self.ops_scratch = ops;
+        }
     }
 
     #[allow(clippy::too_many_arguments)] // the MPI send signature is what it is
@@ -2712,7 +2759,7 @@ impl World {
                 Some(self.core_of(src)),
                 Some(self.core_of(dst)),
             );
-            self.queue.schedule_untracked(
+            self.queue.schedule(
                 at,
                 Ev::Launch {
                     kind: FlowKind::EagerData(m),
@@ -2722,7 +2769,7 @@ impl World {
             );
             if bytes == 0 {
                 // Zero-byte sends complete locally right away.
-                self.queue.schedule_untracked(
+                self.queue.schedule(
                     at,
                     Ev::Rank {
                         rank: src,
@@ -2738,7 +2785,7 @@ impl World {
             let path = self
                 .fabric
                 .route(self.placement.host_mem(src), self.placement.host_mem(dst));
-            self.queue.schedule_untracked(
+            self.queue.schedule(
                 at,
                 Ev::Launch {
                     kind: FlowKind::Rts(m),

@@ -43,6 +43,15 @@ pub trait FlowScheduler {
     fn schedule(&mut self, at: Time, flow: FlowId) -> EventKey;
     /// Cancel a previously scheduled network event.
     fn cancel(&mut self, key: EventKey);
+    /// Move the event behind `old` to `at`; return the replacement's key.
+    /// Must behave exactly like `schedule(at, flow)` then `cancel(old)`,
+    /// which is the default; a queue that can re-key an entry in place
+    /// overrides it.
+    fn reschedule(&mut self, old: EventKey, at: Time, flow: FlowId) -> EventKey {
+        let key = self.schedule(at, flow);
+        self.cancel(old);
+        key
+    }
 }
 
 /// Description of a new flow.
@@ -668,11 +677,8 @@ impl Network {
                 continue;
             }
             reschedules += 1;
-            let old_event = f.event;
-            let new_event = sched.schedule(estimate, FlowId(id as u64));
-            f.event = new_event;
+            f.event = sched.reschedule(f.event, estimate, FlowId(id as u64));
             f.event_time = estimate;
-            sched.cancel(old_event);
         }
         self.reschedules += reschedules;
         self.affected = affected;

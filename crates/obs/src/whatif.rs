@@ -679,7 +679,7 @@ impl<'a> Replay<'a> {
         let mut net2rec: Vec<usize> = Vec::new();
 
         for r in 0..self.nranks {
-            q.schedule_untracked(
+            q.schedule(
                 Time::ZERO,
                 REv::Deliver {
                     rank: r as u32,
@@ -711,7 +711,7 @@ impl<'a> Replay<'a> {
                             let f = &data.flows[fi];
                             if matches!(f.class, FlowClass::Eager | FlowClass::Rndv) {
                                 let m = f.msg.expect("data flow has a message");
-                                q.schedule_untracked(
+                                q.schedule(
                                     t,
                                     REv::Deliver {
                                         rank: data.msgs[m as usize].src,
@@ -723,16 +723,14 @@ impl<'a> Replay<'a> {
                         NetStep::Delivered(d) => {
                             let fi = net2rec[d.flow.0 as usize];
                             let f = &data.flows[fi];
-                            match f.class {
-                                FlowClass::Copy => q.schedule_untracked(
-                                    t,
-                                    REv::Deliver {
-                                        rank: f.rank,
-                                        key: TrigKey::CopyDone(f.token),
-                                    },
-                                ),
-                                _ => q.schedule_untracked(t, REv::Arrive(fi)),
-                            }
+                            let ev = match f.class {
+                                FlowClass::Copy => REv::Deliver {
+                                    rank: f.rank,
+                                    key: TrigKey::CopyDone(f.token),
+                                },
+                                _ => REv::Arrive(fi),
+                            };
+                            q.schedule(t, ev);
                         }
                         NetStep::Dropped(_) => return Err("replayed network dropped a flow".into()),
                     }
@@ -780,7 +778,7 @@ impl<'a> Replay<'a> {
                                     .unwrap_or(Duration::ZERO);
                                 busy[dst] = self.sched[dst].finish_work(e, pure);
                             } else {
-                                q.schedule_untracked(
+                                q.schedule(
                                     t,
                                     REv::Deliver {
                                         rank: mr.dst,
@@ -816,7 +814,7 @@ impl<'a> Replay<'a> {
                                     .cts_flow
                                     .get(&(m as u64))
                                     .ok_or_else(|| format!("message {m}: CTS flow missing"))?;
-                                q.schedule_untracked(end, REv::Launch(cfi));
+                                q.schedule(end, REv::Launch(cfi));
                             }
                         }
                         FlowClass::Cts => {
@@ -826,7 +824,7 @@ impl<'a> Replay<'a> {
                             }
                             let ready = cpu_ready(&self.sched, &busy, src, t);
                             if ready > t {
-                                q.schedule_untracked(ready, REv::Arrive(fi));
+                                q.schedule(ready, REv::Arrive(fi));
                                 continue;
                             }
                             let pure = self
@@ -840,14 +838,14 @@ impl<'a> Replay<'a> {
                                 .rndv_flow
                                 .get(&(m as u64))
                                 .ok_or_else(|| format!("message {m}: payload flow missing"))?;
-                            q.schedule_untracked(end, REv::Launch(rfi));
+                            q.schedule(end, REv::Launch(rfi));
                         }
                         FlowClass::Rndv => {
                             let dst = mr.dst as usize;
                             if finished[dst].is_some() {
                                 continue;
                             }
-                            q.schedule_untracked(
+                            q.schedule(
                                 t,
                                 REv::Deliver {
                                     rank: mr.dst,
@@ -867,7 +865,7 @@ impl<'a> Replay<'a> {
                     }
                     let ready = cpu_ready(&self.sched, &busy, r, t);
                     if ready > t {
-                        q.schedule_untracked(ready, REv::Deliver { rank, key });
+                        q.schedule(ready, REv::Deliver { rank, key });
                         continue;
                     }
                     let di = self
@@ -880,40 +878,25 @@ impl<'a> Replay<'a> {
                     let plan = &self.plans[di];
                     for (off, act) in &plan.acts {
                         let at = self.sched[r].finish_work(t, *off);
+                        let deliver = |key| REv::Deliver { rank, key };
                         match act {
-                            Act::Launch(fi) => q.schedule_untracked(at, REv::Launch(*fi)),
-                            Act::LocalSendDone(m) => q.schedule_untracked(
-                                at,
-                                REv::Deliver {
-                                    rank,
-                                    key: TrigKey::SendDone(*m),
-                                },
-                            ),
-                            Act::CompleteRecv(m) => q.schedule_untracked(
-                                at,
-                                REv::Deliver {
-                                    rank,
-                                    key: TrigKey::RecvDone(*m),
-                                },
-                            ),
-                            Act::ComputeDone(tok) => q.schedule_untracked(
-                                at,
-                                REv::Deliver {
-                                    rank,
-                                    key: TrigKey::ComputeDone(*tok),
-                                },
-                            ),
+                            Act::Launch(fi) => {
+                                q.schedule(at, REv::Launch(*fi));
+                            }
+                            Act::LocalSendDone(m) => {
+                                q.schedule(at, deliver(TrigKey::SendDone(*m)));
+                            }
+                            Act::CompleteRecv(m) => {
+                                q.schedule(at, deliver(TrigKey::RecvDone(*m)));
+                            }
+                            Act::ComputeDone(tok) => {
+                                q.schedule(at, deliver(TrigKey::ComputeDone(*tok)));
+                            }
                             Act::Gpu { token, dur } => {
                                 let start = gpu_busy[r].max(at);
                                 let done = start + *dur;
                                 gpu_busy[r] = done;
-                                q.schedule_untracked(
-                                    done,
-                                    REv::Deliver {
-                                        rank,
-                                        key: TrigKey::GpuDone(*token),
-                                    },
-                                );
+                                q.schedule(done, deliver(TrigKey::GpuDone(*token)));
                             }
                             Act::Finish => {
                                 if finished[r].is_none() {

@@ -23,8 +23,8 @@
 //!    completions delivered, and no message is left unclaimed in the
 //!    runtime's in-flight table or unexpected queues.
 //! 4. **Queue consistency** — the event queue's reported live count
-//!    matches an actual scan of its heap at drain time
-//!    ([`crate::queue::QueueAudit`]).
+//!    matches an actual scan of its heap and same-instant lane at drain
+//!    time ([`crate::queue::QueueAudit`]).
 //!
 //! Leftover *posted* receives are reported but do **not** make a run
 //! dirty: ADAPT's `M > N` receive-window rule (§2.2.1 of the paper)
@@ -118,7 +118,7 @@ impl AuditReport {
         }
         if !self.queue.is_consistent() {
             out.push(format!(
-                "event queue reports {} live event(s) but its heap holds {} (of {} total entries)",
+                "event queue reports {} live event(s) but a scan finds {} (of {} stored entries)",
                 self.queue.reported_live, self.queue.actual_live, self.queue.heap_total
             ));
         }

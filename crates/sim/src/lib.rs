@@ -20,7 +20,7 @@ pub mod time;
 
 pub use audit::{AuditReport, RankAudit};
 pub use pool::WorkerPool;
-pub use queue::{EventKey, EventQueue, QueueAudit};
+pub use queue::{EventKey, EventQueue, QueueAudit, QueueCounters};
 pub use rng::{MasterSeed, StreamTag};
 pub use stats::Summary;
 pub use time::{Duration, Time};

@@ -1,95 +1,85 @@
 //! Deterministic event queue.
 //!
-//! A binary min-heap keyed on `(time, sequence)`. The sequence number is a
+//! Events pop in `(time, sequence)` order. The sequence number is a
 //! monotonically increasing insertion counter, so two events scheduled for
 //! the same instant pop in insertion order. This makes every simulation run
 //! a pure function of its inputs and seeds.
 //!
-//! Cancellation is supported through [`EventKey`]s: `cancel` marks a
-//! scheduled entry dead without paying for heap surgery, and dead entries
-//! are skipped on pop (lazy deletion). Liveness is tracked by a single
-//! `pending` set holding exactly the sequence numbers that are scheduled
-//! and not yet popped or cancelled, so cancelling an event that has already
-//! fired (or was already cancelled) is a detectable no-op rather than a
-//! corruption of the live count, and the bookkeeping never outgrows the
-//! heap contents.
+//! The queue stores entries in two lanes:
 //!
-//! Most simulator events are never cancelled — rank steps, callback
-//! completions, flow launches all fire exactly once. Routing them through
-//! the cancellation bookkeeping costs two hash-table operations per event
-//! (insert on schedule, remove on pop), which profiling shows is the
-//! single largest line item in the event loop. [`EventQueue::schedule_untracked`]
-//! is the fast path for those: the entry carries a `tracked: false` flag,
-//! skips the `pending` set entirely, and is counted live by a plain
-//! integer. Pop order is identical either way — both paths draw sequence
-//! numbers from the same counter, so `(time, seq)` ordering (and hence
-//! every golden trace) is unaffected by which path scheduled an event.
+//! * **The heap** — an indexed 4-ary min-heap holding every event due
+//!   after the current instant ([`EventQueue::now`]). A dense per-slot
+//!   position array follows each entry through its sifts, so a cancelled
+//!   entry is removed at once and a rescheduled one is re-keyed where it
+//!   stands ([`EventQueue::reschedule`]). The heap never holds debris.
+//! * **The same-instant lane** — a FIFO of events scheduled for the
+//!   current instant itself, including schedules into the past that are
+//!   clamped forward. About a quarter of all schedules in an MPI run
+//!   target the instant being processed; in a heap each would sift to the
+//!   root and straight back out.
 //!
-//! Payloads are stored out-of-line in a slot slab and the heap sifts only
+//! `pop` takes the smaller `(time, seq)` key of the lane front and the heap
+//! top. The lane is exact: every lane entry is due at `now()` and was
+//! scheduled after `now()` became current, so lane seqs increase front to
+//! back, and any heap entry due at `now()` was scheduled earlier and
+//! carries a smaller seq than every lane entry.
+//!
+//! Every entry occupies a payload slot from schedule until it leaves the
+//! queue. An [`EventKey`] names `(seq, slot)`, and the slot remembers the
+//! seq of the entry it currently holds, so a key whose event already
+//! popped, was cancelled, or whose slot was reused by a later event is
+//! rejected by one comparison — no hash set is needed. Only cancelled lane
+//! entries are removed lazily: they stay in the FIFO, payload dropped,
+//! until they reach its front.
+//!
+//! Payloads live out-of-line in the slot slab and the heap sifts only
 //! 24-byte `(time, seq, slot)` keys. With the MPI world's ~72-byte event
 //! enum, sifting full entries made heap push/pop ~70% of event-loop time
 //! (gprofng, fig8 sweep); the indirection removes the payload `memcpy`
 //! from every sift level while leaving pop order — a pure function of
 //! `(time, seq)` — untouched.
-//!
-//! Lazy deletion alone lets cancelled debris pile up: a noise-heavy run
-//! whose drain events are rescheduled far more often than they fire can
-//! carry a heap many times its live size. Whenever the debris exceeds the
-//! live entries (and the heap is big enough to care), the queue rebuilds
-//! itself keeping only live entries — an O(heap) pass paid at most once
-//! per heap-doubling of cancellations, so the amortized cost per cancel is
-//! O(1) and heap occupancy stays within a constant factor of the live
-//! count.
 
-use crate::fxhash::FxHashSet;
 use crate::time::Time;
+use std::collections::VecDeque;
 
-/// Sequence number reserved for [`EventKey::default`]. `schedule` hands out
-/// sequence numbers counting up from zero, so this value is never assigned
-/// to a real event.
+/// Sequence number reserved for [`EventKey::default`] and for empty slots.
+/// `schedule` hands out sequence numbers counting up from zero, so this
+/// value is never assigned to a real event.
 const SENTINEL_SEQ: u64 = u64::MAX;
 
-/// Heaps smaller than this are never compacted — the rebuild would cost
-/// more than the debris it reclaims.
-const COMPACT_MIN_HEAP: usize = 64;
+/// Position of a slot whose entry waits in the same-instant lane.
+const IN_LANE: u32 = u32::MAX;
 
-/// Handle to a scheduled event, usable for cancellation. The default key
-/// is a reserved sentinel (`u64::MAX`) that never matches a live event:
+/// Handle to a scheduled event, usable for cancellation and rescheduling.
+/// The default key is a reserved sentinel that never matches a live event:
 /// cancelling it is always a no-op returning `false`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventKey {
     seq: u64,
+    slot: u32,
 }
 
 impl Default for EventKey {
     fn default() -> Self {
-        EventKey { seq: SENTINEL_SEQ }
+        EventKey {
+            seq: SENTINEL_SEQ,
+            slot: u32::MAX,
+        }
     }
 }
 
-/// One heap entry: ordering key plus the slab slot holding the payload.
-///
-/// The payload itself lives out-of-line in [`EventQueue`]'s slab, so heap
-/// sift operations move this 24-byte POD instead of the full event — with
-/// a large event enum (the MPI world's is ~72 bytes) the heap was the
-/// single largest line item of the event loop, and most of that was
-/// `memcpy` of payloads that sift up and down without being consumed.
+/// One queued entry: ordering key plus the slab slot holding the payload.
 #[derive(Clone, Copy)]
 struct Entry {
     time: Time,
     seq: u64,
-    /// Index into the slab where the payload waits.
     slot: u32,
-    /// Whether this entry participates in cancellation bookkeeping. An
-    /// untracked entry is always live; a tracked one is live iff its seq
-    /// is in the `pending` set.
-    tracked: bool,
 }
 
 impl Entry {
-    /// Heap ordering key. `(time, seq)` is a *strict* total order (seqs
-    /// are unique), so every correct min-heap pops the same sequence —
-    /// the heap's internal shape can never influence a simulation.
+    /// Ordering key. `(time, seq)` is a *strict* total order (seqs are
+    /// unique), so every correct queue pops the same sequence — the heap's
+    /// internal shape can never influence a simulation.
     ///
     /// Packed as `time << 64 | seq`: a single `u128` compare is
     /// branchless (sub/sbb), where the equivalent tuple compare turns
@@ -107,16 +97,17 @@ impl Entry {
 /// on the simulator's pop-heavy workload.
 const HEAP_ARITY: usize = 4;
 
-/// A `Vec`-backed 4-ary min-heap of [`Entry`]s ordered by `(time, seq)`.
-/// Only the minimum is ever observable (pop/peek), and `(time, seq)` is a
-/// strict total order, so the internal shape — binary, 4-ary, or anything
-/// else — can never change which event pops next.
+/// A `Vec`-backed 4-ary min-heap of [`Entry`]s ordered by `(time, seq)`,
+/// indexed by slot: `pos[slot]` is the heap index of the entry in `slot`.
+/// Every sift step that moves an entry rewrites its position.
 #[derive(Default)]
-struct MinHeap {
+struct IndexedHeap {
     v: Vec<Entry>,
+    /// Heap index per slab slot (meaningful only for slots in the heap).
+    pos: Vec<u32>,
 }
 
-impl MinHeap {
+impl IndexedHeap {
     #[inline]
     fn len(&self) -> usize {
         self.v.len()
@@ -127,20 +118,16 @@ impl MinHeap {
         self.v.first()
     }
 
-    fn push(&mut self, e: Entry) {
-        let mut i = self.v.len();
-        self.v.push(e);
-        // Sift up: move the hole toward the root until the parent is
-        // smaller, writing the new entry once at its final position.
-        while i > 0 {
-            let parent = (i - 1) / HEAP_ARITY;
-            if self.v[parent].key() <= e.key() {
-                break;
-            }
-            self.v[i] = self.v[parent];
-            i = parent;
-        }
+    #[inline]
+    fn place(&mut self, i: usize, e: Entry) {
         self.v[i] = e;
+        self.pos[e.slot as usize] = i as u32;
+    }
+
+    fn push(&mut self, e: Entry) {
+        let i = self.v.len();
+        self.v.push(e);
+        self.sift_up(i, e);
     }
 
     fn pop(&mut self) -> Option<Entry> {
@@ -149,48 +136,48 @@ impl MinHeap {
             return Some(last);
         }
         let top = self.v[0];
-        // Sift the former tail down from the root: descend to the
-        // smallest child until none is smaller than it.
-        let n = self.v.len();
-        let mut i = 0;
-        loop {
-            let first = i * HEAP_ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            let mut min_key = self.v[first].key();
-            for c in (first + 1)..(first + HEAP_ARITY).min(n) {
-                let k = self.v[c].key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if min_key >= last.key() {
-                break;
-            }
-            self.v[i] = self.v[min];
-            i = min;
-        }
-        self.v[i] = last;
+        self.sift_down(0, last);
         Some(top)
     }
 
-    /// Rebuild from arbitrary entries (Floyd's heapify, bottom-up).
-    fn rebuild(v: Vec<Entry>) -> MinHeap {
-        let mut h = MinHeap { v };
-        let n = h.v.len();
-        if n > 1 {
-            for i in (0..=(n - 2) / HEAP_ARITY).rev() {
-                h.sift_down(i);
-            }
+    /// Remove the entry at heap index `i`.
+    fn remove(&mut self, i: usize) {
+        let last = self.v.pop().expect("remove from a non-empty heap");
+        if i < self.v.len() {
+            self.settle(i, last);
         }
-        h
     }
 
-    fn sift_down(&mut self, mut i: usize) {
-        let e = self.v[i];
+    /// Put `e` into the hole at `i` (an emptied or re-keyed position),
+    /// sifting whichever way it must go.
+    fn settle(&mut self, i: usize, e: Entry) {
+        if i > 0 && e.key() < self.v[(i - 1) / HEAP_ARITY].key() {
+            self.sift_up(i, e);
+        } else {
+            self.sift_down(i, e);
+        }
+    }
+
+    /// Move the hole at `i` toward the root until the parent is smaller,
+    /// writing `e` once at its final position.
+    fn sift_up(&mut self, mut i: usize, e: Entry) {
+        let key = e.key();
+        while i > 0 {
+            let parent = (i - 1) / HEAP_ARITY;
+            let p = self.v[parent];
+            if p.key() <= key {
+                break;
+            }
+            self.place(i, p);
+            i = parent;
+        }
+        self.place(i, e);
+    }
+
+    /// Move the hole at `i` toward the leaves, descending to the smallest
+    /// child until none is smaller than `e`.
+    fn sift_down(&mut self, mut i: usize, e: Entry) {
+        let key = e.key();
         let n = self.v.len();
         loop {
             let first = i * HEAP_ARITY + 1;
@@ -206,22 +193,38 @@ impl MinHeap {
                     min_key = k;
                 }
             }
-            if min_key >= e.key() {
+            if min_key >= key {
                 break;
             }
-            self.v[i] = self.v[min];
+            self.place(i, self.v[min]);
             i = min;
         }
-        self.v[i] = e;
+        self.place(i, e);
     }
+}
 
-    fn iter(&self) -> std::slice::Iter<'_, Entry> {
-        self.v.iter()
-    }
+/// One payload slot of the slab.
+struct Slot<E> {
+    /// Seq of the live entry held here; [`SENTINEL_SEQ`] while the slot is
+    /// free or its lane entry was cancelled.
+    seq: u64,
+    payload: Option<E>,
+}
 
-    fn into_vec(self) -> Vec<Entry> {
-        self.v
-    }
+/// Counted queue work since the queue was created: where schedules went
+/// and how cancellations were paid for. Deterministic for a given run, so
+/// two builds can be compared by it exactly.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueCounters {
+    /// Entries pushed onto the heap (due after the current instant).
+    pub heap_pushes: u64,
+    /// Entries appended to the same-instant lane.
+    pub lane_pushes: u64,
+    /// [`EventQueue::reschedule`] calls that re-keyed a heap entry in
+    /// place.
+    pub reschedules: u64,
+    /// Heap entries removed at once by a cancel.
+    pub cancels: u64,
 }
 
 /// Internal-consistency snapshot of an [`EventQueue`], used by the
@@ -230,12 +233,13 @@ impl MinHeap {
 pub struct QueueAudit {
     /// Live events as reported by [`EventQueue::len`] (the live counter).
     pub reported_live: usize,
-    /// Live events actually present in the heap (full scan counting
-    /// untracked entries plus tracked entries whose sequence is in the
-    /// pending set).
+    /// Live entries actually found by a full scan: heap entries whose slot
+    /// holds their seq and points back at their heap index, plus lane
+    /// entries whose slot holds their seq.
     pub actual_live: usize,
-    /// Total heap entries, including cancelled debris awaiting lazy
-    /// removal.
+    /// Total stored entries: the heap plus the same-instant lane. The heap
+    /// holds no debris, so this exceeds the live count only by cancelled
+    /// lane entries awaiting lazy removal.
     pub heap_total: usize,
     /// Number of schedule calls that targeted the past and were clamped
     /// forward (see [`EventQueue::schedule`]).
@@ -243,7 +247,7 @@ pub struct QueueAudit {
 }
 
 impl QueueAudit {
-    /// True when the reported live count matches the heap contents.
+    /// True when the reported live count matches the stored entries.
     pub fn is_consistent(&self) -> bool {
         self.reported_live == self.actual_live && self.actual_live <= self.heap_total
     }
@@ -251,31 +255,24 @@ impl QueueAudit {
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
-    heap: MinHeap,
+    heap: IndexedHeap,
+    /// Entries due at `last_popped`, in seq order.
+    lane: VecDeque<Entry>,
     /// Payload storage, indexed by [`Entry::slot`]. A slot is occupied
-    /// from schedule until its entry pops (live or as lazy-deleted
-    /// debris), then recycled through `free`. Payloads are written once
-    /// and read once — they never participate in heap sifts.
-    slab: Vec<Option<E>>,
+    /// from schedule until its entry pops, is cancelled from the heap, or
+    /// (cancelled in the lane) reaches the lane front; then it is recycled
+    /// through `free`.
+    slab: Vec<Slot<E>>,
     /// Recycled slab slots.
     free: Vec<u32>,
     next_seq: u64,
-    /// Sequence numbers of *tracked* entries that are scheduled and
-    /// neither popped nor cancelled. A tracked entry in the heap is live
-    /// iff its seq is here, so cancelling an event that already fired (or
-    /// was already cancelled) is a detectable no-op, and the bookkeeping
-    /// never outgrows the heap contents. Untracked entries bypass this set.
-    pending: FxHashSet<u64>,
-    /// Live entries (tracked + untracked). Kept as a counter so the hot
-    /// untracked path touches no hash table; the audit layer cross-checks
-    /// it against the heap.
+    /// Live entries in both lanes.
     live: usize,
     /// Last time popped; used to detect causality violations.
     last_popped: Time,
     /// Schedule calls that targeted the past and were clamped forward.
     causality_violations: u64,
-    /// Debris-compaction rebuilds performed (diagnostics).
-    compactions: u64,
+    counters: QueueCounters,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -288,44 +285,16 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: MinHeap::default(),
+            heap: IndexedHeap::default(),
+            lane: VecDeque::new(),
             slab: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
-            pending: FxHashSet::default(),
             live: 0,
             last_popped: Time::ZERO,
             causality_violations: 0,
-            compactions: 0,
+            counters: QueueCounters::default(),
         }
-    }
-
-    /// Rebuild the heap keeping only live entries once cancelled debris
-    /// outnumbers them. Pop order is unaffected — `(time, seq)` is a total
-    /// order — so compaction is invisible to the simulation.
-    fn maybe_compact(&mut self) {
-        if self.heap.len() < COMPACT_MIN_HEAP || self.heap.len() <= 2 * self.live {
-            return;
-        }
-        self.compactions += 1;
-        let pending = &self.pending;
-        let slab = &mut self.slab;
-        let free = &mut self.free;
-        let live: Vec<Entry> = std::mem::take(&mut self.heap)
-            .into_vec()
-            .into_iter()
-            .filter(|e| {
-                let alive = !e.tracked || pending.contains(&e.seq);
-                if !alive {
-                    // Cancelled debris: release its payload slot now
-                    // instead of waiting for the entry to pop.
-                    slab[e.slot as usize] = None;
-                    free.push(e.slot);
-                }
-                alive
-            })
-            .collect();
-        self.heap = MinHeap::rebuild(live);
     }
 
     /// Schedule `payload` at absolute time `time`.
@@ -336,51 +305,107 @@ impl<E> EventQueue<E> {
     /// layer can report it instead of the bug silently disappearing.
     #[inline]
     pub fn schedule(&mut self, time: Time, payload: E) -> EventKey {
-        let seq = self.push_entry(time, payload, true);
-        EventKey { seq }
+        let (time, seq) = self.stamp(time);
+        let slot = self.alloc_slot(seq, payload);
+        let e = Entry { time, seq, slot };
+        if time == self.last_popped {
+            self.heap.pos[slot as usize] = IN_LANE;
+            self.lane.push_back(e);
+            self.counters.lane_pushes += 1;
+        } else {
+            self.heap.push(e);
+            self.counters.heap_pushes += 1;
+        }
+        self.live += 1;
+        EventKey { seq, slot }
     }
 
-    /// Schedule `payload` at absolute time `time` without a cancellation
-    /// handle. The hot path for fire-exactly-once events: no hash-table
-    /// bookkeeping on schedule or pop. Ordering is identical to
-    /// [`EventQueue::schedule`] — both draw from the same sequence counter.
-    #[inline]
-    pub fn schedule_untracked(&mut self, time: Time, payload: E) {
-        self.push_entry(time, payload, false);
+    /// Replace the event behind `old` with `payload` at `time`; return the
+    /// replacement's key.
+    ///
+    /// Equivalent to `schedule(time, payload)` followed by `cancel(old)`:
+    /// the replacement draws the next sequence number exactly as
+    /// `schedule` would, so pop order is identical. When `old` is a live
+    /// heap entry it is re-keyed where it stands — one sift instead of a
+    /// push plus a removal.
+    pub fn reschedule(&mut self, old: EventKey, time: Time, payload: E) -> EventKey {
+        let in_heap = self.live_slot(old).filter(|&s| self.heap.pos[s] != IN_LANE);
+        let Some(s) = in_heap else {
+            let key = self.schedule(time, payload);
+            self.cancel(old);
+            return key;
+        };
+        let (time, seq) = self.stamp(time);
+        let slot = &mut self.slab[s];
+        slot.seq = seq;
+        slot.payload = Some(payload);
+        let i = self.heap.pos[s] as usize;
+        self.heap.settle(
+            i,
+            Entry {
+                time,
+                seq,
+                slot: old.slot,
+            },
+        );
+        self.counters.reschedules += 1;
+        EventKey {
+            seq,
+            slot: old.slot,
+        }
     }
 
+    /// Clamp `time` to the present (counting a violation) and draw the
+    /// next sequence number.
     #[inline]
-    fn push_entry(&mut self, time: Time, payload: E, tracked: bool) -> u64 {
+    fn stamp(&mut self, time: Time) -> (Time, u64) {
         if time < self.last_popped {
             self.causality_violations += 1;
         }
-        let time = time.max(self.last_popped);
         let seq = self.next_seq;
         assert!(seq != SENTINEL_SEQ, "event sequence space exhausted");
         self.next_seq += 1;
-        let slot = match self.free.pop() {
+        (time.max(self.last_popped), seq)
+    }
+
+    #[inline]
+    fn alloc_slot(&mut self, seq: u64, payload: E) -> u32 {
+        let slot = Slot {
+            seq,
+            payload: Some(payload),
+        };
+        match self.free.pop() {
             Some(s) => {
-                self.slab[s as usize] = Some(payload);
+                self.slab[s as usize] = slot;
                 s
             }
             None => {
                 let s = self.slab.len();
                 assert!(s < u32::MAX as usize, "event slab exhausted");
-                self.slab.push(Some(payload));
+                self.slab.push(slot);
+                self.heap.pos.push(0);
                 s as u32
             }
-        };
-        self.heap.push(Entry {
-            time,
-            seq,
-            slot,
-            tracked,
-        });
-        if tracked {
-            self.pending.insert(seq);
         }
-        self.live += 1;
-        seq
+    }
+
+    /// Release a slot whose entry left the queue.
+    #[inline]
+    fn release(&mut self, slot: u32) -> Option<E> {
+        let s = &mut self.slab[slot as usize];
+        s.seq = SENTINEL_SEQ;
+        self.free.push(slot);
+        s.payload.take()
+    }
+
+    /// The slot index of `key` if it names a live event.
+    #[inline]
+    fn live_slot(&self, key: EventKey) -> Option<usize> {
+        let s = key.slot as usize;
+        self.slab
+            .get(s)
+            .is_some_and(|slot| slot.seq == key.seq)
+            .then_some(s)
     }
 
     /// Cancel a previously scheduled event. Returns true if the event was
@@ -388,31 +413,66 @@ impl<E> EventQueue<E> {
     /// Cancelling a popped event, a cancelled event, or the default
     /// sentinel key is a no-op returning false and leaves `len()` intact.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let was_pending = self.pending.remove(&key.seq);
-        if was_pending {
-            self.live -= 1;
-            self.maybe_compact();
+        let Some(s) = self.live_slot(key) else {
+            return false;
+        };
+        match self.heap.pos[s] {
+            IN_LANE => {
+                // Lazy: the lane entry stays until it reaches the front;
+                // the slot is held until then so it cannot be reused
+                // under it.
+                let slot = &mut self.slab[s];
+                slot.seq = SENTINEL_SEQ;
+                slot.payload = None;
+            }
+            i => {
+                self.heap.remove(i as usize);
+                self.release(key.slot);
+                self.counters.cancels += 1;
+            }
         }
-        was_pending
+        self.live -= 1;
+        true
+    }
+
+    /// The lane holds the next entry (else the heap does, if any).
+    #[inline]
+    fn lane_first(&self) -> Option<bool> {
+        match (self.lane.front(), self.heap.peek()) {
+            (Some(l), Some(h)) => Some(l.key() < h.key()),
+            (Some(_), None) => Some(true),
+            (None, Some(_)) => Some(false),
+            (None, None) => None,
+        }
+    }
+
+    /// Drop cancelled entries from the front of the lane.
+    #[inline]
+    fn skip_lane_debris(&mut self) {
+        while let Some(e) = self.lane.front() {
+            if self.slab[e.slot as usize].seq == e.seq {
+                return;
+            }
+            let slot = e.slot;
+            self.lane.pop_front();
+            self.free.push(slot);
+        }
     }
 
     /// Remove and return the earliest live event.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.maybe_compact();
-        while let Some(entry) = self.heap.pop() {
-            let payload = self.slab[entry.slot as usize]
-                .take()
-                .expect("scheduled slot holds a payload");
-            self.free.push(entry.slot);
-            if entry.tracked && !self.pending.remove(&entry.seq) {
-                continue; // cancelled entry: lazy deletion
-            }
-            self.live -= 1;
-            self.last_popped = entry.time;
-            return Some((entry.time, payload));
+        self.skip_lane_debris();
+        let e = if self.lane_first()? {
+            self.lane.pop_front()
+        } else {
+            self.heap.pop()
         }
-        None
+        .expect("chosen lane is non-empty");
+        let payload = self.release(e.slot).expect("live slot holds a payload");
+        self.live -= 1;
+        self.last_popped = e.time;
+        Some((e.time, payload))
     }
 
     /// Time of the earliest live event without removing it.
@@ -421,20 +481,17 @@ impl<E> EventQueue<E> {
     }
 
     /// Full `(time, seq)` ordering key of the earliest live event without
-    /// removing it. Sequence numbers count schedule calls from zero, so a
-    /// caller that logs its schedule calls can name the event behind the
-    /// head of the queue.
+    /// removing it. Sequence numbers count `schedule` and `reschedule`
+    /// calls from zero, so a caller that logs those calls can name the
+    /// event behind the head of the queue.
     pub fn peek_key(&mut self) -> Option<(Time, u64)> {
-        self.maybe_compact();
-        while let Some(entry) = self.heap.peek() {
-            if !entry.tracked || self.pending.contains(&entry.seq) {
-                return Some((entry.time, entry.seq));
-            }
-            let entry = self.heap.pop().expect("peeked entry pops");
-            self.slab[entry.slot as usize] = None;
-            self.free.push(entry.slot);
-        }
-        None
+        self.skip_lane_debris();
+        let e = if self.lane_first()? {
+            self.lane.front()
+        } else {
+            self.heap.peek()
+        }?;
+        Some((e.time, e.seq))
     }
 
     /// Number of live scheduled events.
@@ -458,24 +515,24 @@ impl<E> EventQueue<E> {
         self.causality_violations
     }
 
-    /// Number of debris-compaction rebuilds performed.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
+    /// Counted work since the queue was created.
+    pub fn counters(&self) -> QueueCounters {
+        self.counters
     }
 
-    /// Cross-check the reported live count against the actual heap
-    /// contents (O(heap) scan; intended for end-of-run audits, not the
-    /// hot path).
+    /// Cross-check the reported live count against the stored entries
+    /// (O(entries) scan; intended for end-of-run audits, not the hot path).
     pub fn audit(&self) -> QueueAudit {
-        let actual_live = self
-            .heap
-            .iter()
-            .filter(|e| !e.tracked || self.pending.contains(&e.seq))
-            .count();
+        let heap_live = self.heap.v.iter().enumerate().filter(|&(i, e)| {
+            self.slab[e.slot as usize].seq == e.seq && self.heap.pos[e.slot as usize] as usize == i
+        });
+        let lane_live = self.lane.iter().filter(|e| {
+            self.slab[e.slot as usize].seq == e.seq && self.heap.pos[e.slot as usize] == IN_LANE
+        });
         QueueAudit {
             reported_live: self.live,
-            actual_live,
-            heap_total: self.heap.len(),
+            actual_live: heap_live.count() + lane_live.count(),
+            heap_total: self.heap.len() + self.lane.len(),
             causality_violations: self.causality_violations,
         }
     }
@@ -567,8 +624,7 @@ mod tests {
     #[test]
     fn cancel_after_pop_is_a_noop() {
         // Regression: cancel used to return true for already-popped keys,
-        // decrementing the live count below reality and leaking an entry
-        // in the cancelled set forever.
+        // decrementing the live count below reality.
         let mut q = EventQueue::new();
         let a = q.schedule(Time(1), "a");
         q.schedule(Time(2), "b");
@@ -582,10 +638,24 @@ mod tests {
     }
 
     #[test]
+    fn stale_key_cannot_cancel_the_slot_reuser() {
+        // A popped event's slot is recycled by the next schedule; the old
+        // key must be rejected by the slot's new seq.
+        let mut q = EventQueue::new();
+        let a = q.schedule(Time(1), "a");
+        assert_eq!(q.pop(), Some((Time(1), "a")));
+        let b = q.schedule(Time(2), "b");
+        assert_eq!(a.slot, b.slot, "slot is reused");
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((Time(2), "b")));
+    }
+
+    #[test]
     fn cancel_then_reschedule_cycles_stay_bounded_and_consistent() {
         // The drain-reschedule pattern the network engine uses: schedule a
-        // replacement, cancel the old event, repeat. Bookkeeping must not
-        // grow without bound and len() must match the heap at every step.
+        // replacement, cancel the old event, repeat. Storage must not grow
+        // and len() must match the heap at every step.
         let mut q = EventQueue::new();
         let mut key = q.schedule(Time(10), 0u32);
         for i in 1..1000u32 {
@@ -593,11 +663,11 @@ mod tests {
             assert!(q.cancel(key));
             key = new;
             assert_eq!(q.len(), 1);
+            assert_eq!(q.audit().heap_total, 1, "cancel leaves no debris");
         }
         let audit = q.audit();
         assert!(audit.is_consistent(), "{audit:?}");
         assert_eq!(audit.reported_live, 1);
-        // Draining the queue clears the cancelled debris too.
         assert!(q.pop().is_some());
         assert!(q.pop().is_none());
         let audit = q.audit();
@@ -606,45 +676,133 @@ mod tests {
     }
 
     #[test]
-    fn debris_stays_bounded_under_schedule_cancel_churn() {
-        // A long noise-heavy run reschedules drain events constantly:
-        // schedule a replacement, cancel the old key, never pop. Without
-        // compaction the heap grows by one dead entry per cycle; with it,
-        // occupancy must stay within a constant factor of the live count.
+    fn heap_holds_exactly_the_live_entries_after_cancel_or_reschedule() {
+        // Eager removal and in-place re-keying: with the lane empty, the
+        // stored entries are exactly the live ones after every operation.
         let mut q = EventQueue::new();
-        let mut keys: Vec<EventKey> = (0..100u64).map(|i| q.schedule(Time(i), i)).collect();
-        for round in 0..1_000u64 {
-            for k in keys.iter_mut() {
-                let new = q.schedule(Time(100 + round), round);
-                assert!(q.cancel(*k));
-                *k = new;
+        let mut keys: Vec<EventKey> = (0..100u64).map(|i| q.schedule(Time(1 + i), i)).collect();
+        for round in 0..200u64 {
+            for (j, k) in keys.iter_mut().enumerate() {
+                let t = Time(200 + (round * 37 + j as u64 * 11) % 500);
+                if (round + j as u64).is_multiple_of(3) {
+                    let new = q.schedule(t, round);
+                    assert!(q.cancel(*k));
+                    *k = new;
+                } else {
+                    *k = q.reschedule(*k, t, round);
+                }
                 let audit = q.audit();
                 assert!(audit.is_consistent(), "{audit:?}");
-                assert!(
-                    audit.heap_total <= (2 * audit.reported_live).max(super::COMPACT_MIN_HEAP),
-                    "heap debris unbounded: {audit:?}"
-                );
+                assert_eq!(audit.heap_total, q.len(), "{audit:?}");
             }
         }
-        assert!(q.compactions() > 0, "churn this heavy must compact");
-        // The queue still pops everything that is live, in order.
+        assert_eq!(q.len(), 100);
+        let mut last = (Time::ZERO, 0);
         let mut popped = 0;
-        while q.pop().is_some() {
+        while let Some((t, _)) = q.pop() {
+            assert!(t >= last.0);
+            last.0 = t;
             popped += 1;
+            assert_eq!(q.audit().heap_total, q.len());
         }
         assert_eq!(popped, 100);
+    }
+
+    #[test]
+    fn reschedule_matches_schedule_then_cancel() {
+        // Same seq draw and same pop order as the two-call form.
+        let mut a = EventQueue::new();
+        let mut b = EventQueue::new();
+        let mut ka = Vec::new();
+        let mut kb = Vec::new();
+        for i in 0..20u64 {
+            ka.push(a.schedule(Time(100 + 7 * i % 50), i));
+            kb.push(b.schedule(Time(100 + 7 * i % 50), i));
+        }
+        for i in (0..20usize).step_by(2) {
+            let t = Time(90 + (13 * i as u64) % 40);
+            ka[i] = a.reschedule(ka[i], t, 100 + i as u64);
+            let new = b.schedule(t, 100 + i as u64);
+            assert!(b.cancel(kb[i]));
+            kb[i] = new;
+        }
+        assert_eq!(a.counters().reschedules, 10);
+        assert_eq!(a.len(), b.len());
+        loop {
+            assert_eq!(a.peek_key(), b.peek_key());
+            let (pa, pb) = (a.pop(), b.pop());
+            assert_eq!(pa, pb);
+            if pa.is_none() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn reschedule_of_a_dead_key_schedules_fresh() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(Time(1), "a");
+        assert_eq!(q.pop(), Some((Time(1), "a")));
+        let b = q.reschedule(a, Time(5), "b");
+        let c = q.reschedule(EventKey::default(), Time(3), "c");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.counters().reschedules, 0);
+        assert_eq!(q.pop(), Some((Time(3), "c")));
+        assert_eq!(q.pop(), Some((Time(5), "b")));
+        assert!(!q.cancel(b) && !q.cancel(c));
+    }
+
+    #[test]
+    fn same_instant_schedules_use_the_lane_and_keep_seq_order() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(5), "h1"); // heap: due later
+        q.schedule(Time(10), "h2");
+        assert_eq!(q.pop(), Some((Time(5), "h1")));
+        q.schedule(Time(10), "h3"); // heap: after h2 by seq
+        q.schedule(Time(5), "l1"); // lane: due now
+        q.schedule(Time(1), "l2"); // past: clamped into the lane
+        let c = q.counters();
+        assert_eq!((c.heap_pushes, c.lane_pushes), (3, 2));
+        assert_eq!(q.causality_violations(), 1);
+        assert_eq!(q.pop(), Some((Time(5), "l1")));
+        assert_eq!(q.pop(), Some((Time(5), "l2")));
+        assert_eq!(q.pop(), Some((Time(10), "h2")));
+        // Now at 10: the heap's h3 (older seq) precedes a new lane entry.
+        q.schedule(Time(10), "l3");
+        assert_eq!(q.pop(), Some((Time(10), "h3")));
+        assert_eq!(q.pop(), Some((Time(10), "l3")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn cancelled_lane_entries_are_dropped_at_the_front() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(Time::ZERO, "a"); // lane: now is zero
+        q.schedule(Time::ZERO, "b");
+        let c = q.schedule(Time::ZERO, "c");
+        assert!(q.cancel(a));
+        assert!(!q.cancel(a));
+        assert!(q.cancel(c));
+        assert_eq!(q.len(), 1);
+        let audit = q.audit();
+        assert!(audit.is_consistent(), "{audit:?}");
+        assert_eq!(audit.heap_total, 3, "lane debris waits for the front");
+        assert_eq!(q.counters().cancels, 0, "lane cancels are lazy");
+        assert_eq!(q.peek_key(), Some((Time::ZERO, 1)));
+        assert_eq!(q.pop(), Some((Time::ZERO, "b")));
+        assert_eq!(q.pop(), None);
         assert_eq!(q.audit().heap_total, 0);
     }
 
     #[test]
-    fn compaction_preserves_pop_order_and_len() {
+    fn mass_cancel_preserves_pop_order_and_len() {
         let mut q = EventQueue::new();
         let keys: Vec<EventKey> = (0..200u64).map(|i| q.schedule(Time(1000 - i), i)).collect();
-        // Cancel three quarters; compaction will trigger along the way.
         for k in keys.iter().take(150) {
             q.cancel(*k);
         }
         assert_eq!(q.len(), 50);
+        assert_eq!(q.audit().heap_total, 50);
         let mut last = Time::ZERO;
         let mut seen = Vec::new();
         while let Some((t, v)) = q.pop() {
@@ -656,55 +814,6 @@ mod tests {
         // descending payload order (they were scheduled at descending
         // times).
         assert_eq!(seen, (150..200u64).rev().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn untracked_and_tracked_events_interleave_by_time_and_seq() {
-        let mut q = EventQueue::new();
-        q.schedule_untracked(Time(5), "u5");
-        let t3 = q.schedule(Time(3), "t3");
-        q.schedule_untracked(Time(3), "u3"); // later seq than t3, same time
-        q.schedule(Time(1), "t1");
-        assert_eq!(q.len(), 4);
-        assert_eq!(q.pop(), Some((Time(1), "t1")));
-        assert_eq!(q.pop(), Some((Time(3), "t3")));
-        assert_eq!(q.pop(), Some((Time(3), "u3")));
-        assert_eq!(q.pop(), Some((Time(5), "u5")));
-        assert!(q.is_empty());
-        assert!(!q.cancel(t3), "popped tracked key stays uncancellable");
-    }
-
-    #[test]
-    fn untracked_events_survive_compaction_and_audit() {
-        let mut q = EventQueue::new();
-        for i in 0..50u64 {
-            q.schedule_untracked(Time(1000 + i), i);
-        }
-        // Pile up enough cancelled debris to force a rebuild.
-        let keys: Vec<EventKey> = (0..200u64).map(|i| q.schedule(Time(i), 100 + i)).collect();
-        for k in &keys {
-            assert!(q.cancel(*k));
-        }
-        assert!(q.compactions() > 0, "debris must trigger a rebuild");
-        let audit = q.audit();
-        assert!(audit.is_consistent(), "{audit:?}");
-        assert_eq!(audit.reported_live, 50);
-        let mut popped = Vec::new();
-        while let Some((_, v)) = q.pop() {
-            popped.push(v);
-        }
-        assert_eq!(popped, (0..50u64).collect::<Vec<_>>());
-        assert_eq!(q.audit().heap_total, 0);
-    }
-
-    #[test]
-    fn peek_time_sees_untracked_head_past_cancelled_debris() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(Time(1), 0);
-        q.schedule_untracked(Time(2), 1);
-        assert!(q.cancel(a));
-        assert_eq!(q.peek_time(), Some(Time(2)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]
