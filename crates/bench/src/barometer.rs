@@ -459,8 +459,9 @@ impl LedgerEntry {
             "{{\"scenario\": \"{}\", \"pr\": {}, \"rev\": \"{}\", \"scale\": \"{}\", \
              \"wall_ms\": {:.3}, \"wall_min_ms\": {:.3}, \"wall_max_ms\": {:.3}, \
              \"events\": {}, \"events_per_sec\": {:.1}, \"threads\": {}, \"host_cores\": {}, \
-             \"queue_heap_pushes\": {}, \"queue_lane_pushes\": {}, \"queue_reschedules\": {}, \
-             \"queue_cancels\": {}}}",
+             \"queue_now_pushes\": {}, \"queue_bucket_pushes\": {}, \
+             \"queue_redistributions\": {}, \"queue_moves\": {}, \"queue_cancels\": {}, \
+             \"queue_dropped\": {}}}",
             self.scenario,
             self.pr,
             self.rev,
@@ -472,10 +473,12 @@ impl LedgerEntry {
             self.events_per_sec,
             self.threads,
             self.host_cores,
-            self.queue.heap_pushes,
-            self.queue.lane_pushes,
-            self.queue.reschedules,
-            self.queue.cancels
+            self.queue.now_pushes,
+            self.queue.bucket_pushes,
+            self.queue.redistributions,
+            self.queue.moves,
+            self.queue.cancels,
+            self.queue.dropped
         )
     }
 
@@ -540,10 +543,12 @@ impl LedgerEntry {
                 .parse()
                 .map_err(|e| format!("field `events`: {e}"))?,
             queue: QueueCounters {
-                heap_pushes: count("queue_heap_pushes")?,
-                lane_pushes: count("queue_lane_pushes")?,
-                reschedules: count("queue_reschedules")?,
+                now_pushes: count("queue_now_pushes")?,
+                bucket_pushes: count("queue_bucket_pushes")?,
+                redistributions: count("queue_redistributions")?,
+                moves: count("queue_moves")?,
                 cancels: count("queue_cancels")?,
+                dropped: count("queue_dropped")?,
             },
             events_per_sec: num("events_per_sec")?,
             // Absent on ledger lines written before pooled sweeps:
@@ -849,10 +854,12 @@ mod tests {
             wall_max_ms: 112.5,
             events: 1_000_000,
             queue: QueueCounters {
-                heap_pushes: 700_000,
-                lane_pushes: 300_000,
-                reschedules: 5_000,
-                cancels: 40,
+                now_pushes: 300_000,
+                bucket_pushes: 700_000,
+                redistributions: 250_000,
+                moves: 1_400_000,
+                cancels: 5_000,
+                dropped: 4_960,
             },
             events_per_sec: eps,
             threads: 1,
@@ -978,6 +985,25 @@ threads = 4
         assert_eq!(e.host_cores, 0);
         assert_eq!(e.queue, QueueCounters::default());
         assert_eq!(e.series(), "s1");
+    }
+
+    #[test]
+    fn ledger_lines_with_two_lane_queue_counters_still_parse() {
+        // A line from the two-lane heap queue: its four `queue_*` fields
+        // are unknown now and ignored; the radix queue's read as 0.
+        let line = "{\"scenario\": \"s1\", \"pr\": 13, \"rev\": \"abcd\", \"scale\": \"quick\", \
+                    \"wall_ms\": 100.000, \"wall_min_ms\": 95.000, \"wall_max_ms\": 112.500, \
+                    \"events\": 1000000, \"events_per_sec\": 1000.0, \"threads\": 1, \
+                    \"host_cores\": 2, \"queue_heap_pushes\": 700, \"queue_lane_pushes\": 300, \
+                    \"queue_reschedules\": 5, \"queue_cancels\": 4}";
+        let e = LedgerEntry::parse_line(line).unwrap();
+        assert_eq!(
+            e.queue,
+            QueueCounters {
+                cancels: 4,
+                ..QueueCounters::default()
+            }
+        );
     }
 
     #[test]

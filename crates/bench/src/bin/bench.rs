@@ -149,17 +149,19 @@ fn run(cli: Cli) -> Result<(), String> {
                 let q = r.queue;
                 println!(
                     "{:<32} {:>10.2} ms ({:.2}-{:.2})  {:>12.0} events/s  t{}  \
-                     queue heap/lane/resched/cancel={}/{}/{}/{}",
+                     queue now/bucket/redist/moves/cancel/drop={}/{}/{}/{}/{}/{}",
                     r.name,
                     r.wall_ms,
                     r.wall_min_ms,
                     r.wall_max_ms,
                     r.events_per_sec,
                     r.threads,
-                    q.heap_pushes,
-                    q.lane_pushes,
-                    q.reschedules,
-                    q.cancels
+                    q.now_pushes,
+                    q.bucket_pushes,
+                    q.redistributions,
+                    q.moves,
+                    q.cancels,
+                    q.dropped
                 );
                 entries.push(LedgerEntry::from_result(&r, pr, &rev, scale));
             }

@@ -305,9 +305,6 @@ impl FlowScheduler for BenchSched {
     fn cancel(&mut self, key: EventKey) {
         self.0.cancel(key);
     }
-    fn reschedule(&mut self, old: EventKey, at: Time, flow: FlowId) -> EventKey {
-        self.0.reschedule(old, at, flow)
-    }
 }
 
 /// Parameters of the flow-churn scenario.
@@ -717,10 +714,12 @@ pub fn bench_fig8_with(name: &str, p: &Fig8Params) -> PerfResult {
             sum.events += stats.events;
             sum.match_probes += stats.match_probes;
             sum.net_share_recomputes += stats.net_share_recomputes;
-            sum.queue_heap_pushes += stats.queue_heap_pushes;
-            sum.queue_lane_pushes += stats.queue_lane_pushes;
-            sum.queue_reschedules += stats.queue_reschedules;
+            sum.queue_now_pushes += stats.queue_now_pushes;
+            sum.queue_bucket_pushes += stats.queue_bucket_pushes;
+            sum.queue_redistributions += stats.queue_redistributions;
+            sum.queue_moves += stats.queue_moves;
             sum.queue_cancels += stats.queue_cancels;
+            sum.queue_dropped += stats.queue_dropped;
         }
         sum
     });

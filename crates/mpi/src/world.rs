@@ -584,27 +584,32 @@ world_stats! {
     /// Rank failures the heartbeat detector converged on and announced
     /// to survivors.
     failures_detected,
-    /// Event-queue diagnostics: schedules pushed onto the heap (due after
-    /// the instant being processed).
-    queue_heap_pushes,
-    /// Event-queue diagnostics: schedules appended to the same-instant
-    /// FIFO lane (due at the instant being processed, or clamped to it).
-    queue_lane_pushes,
-    /// Event-queue diagnostics: drain reschedules that re-keyed a heap
-    /// entry in place.
-    queue_reschedules,
-    /// Event-queue diagnostics: heap entries removed by a cancel.
+    /// Event-queue diagnostics: schedules appended to bucket 0 (due at the
+    /// instant being processed, or clamped to it).
+    queue_now_pushes,
+    /// Event-queue diagnostics: schedules appended to a later bucket.
+    queue_bucket_pushes,
+    /// Event-queue diagnostics: bucket redistributions, one per instant
+    /// the clock advanced to.
+    queue_redistributions,
+    /// Event-queue diagnostics: entries moved by the redistributions.
+    queue_moves,
+    /// Event-queue diagnostics: live events cancelled.
     queue_cancels,
+    /// Event-queue diagnostics: cancelled entries dropped from storage.
+    queue_dropped,
 }
 
 impl WorldStats {
     /// The event-queue counters, in the queue's own type.
     pub fn queue(&self) -> QueueCounters {
         QueueCounters {
-            heap_pushes: self.queue_heap_pushes,
-            lane_pushes: self.queue_lane_pushes,
-            reschedules: self.queue_reschedules,
+            now_pushes: self.queue_now_pushes,
+            bucket_pushes: self.queue_bucket_pushes,
+            redistributions: self.queue_redistributions,
+            moves: self.queue_moves,
             cancels: self.queue_cancels,
+            dropped: self.queue_dropped,
         }
     }
 }
@@ -653,9 +658,6 @@ impl FlowScheduler for QueueSched<'_> {
     }
     fn cancel(&mut self, key: EventKey) {
         self.0.cancel(key);
-    }
-    fn reschedule(&mut self, old: EventKey, at: Time, flow: FlowId) -> EventKey {
-        self.0.reschedule(old, at, Ev::Net(flow))
     }
 }
 
@@ -1182,10 +1184,12 @@ impl World {
         self.stats.net_reschedules = net_perf.reschedules;
         self.stats.net_share_recomputes = net_perf.share_recomputes;
         let qc = self.queue.counters();
-        self.stats.queue_heap_pushes = qc.heap_pushes;
-        self.stats.queue_lane_pushes = qc.lane_pushes;
-        self.stats.queue_reschedules = qc.reschedules;
+        self.stats.queue_now_pushes = qc.now_pushes;
+        self.stats.queue_bucket_pushes = qc.bucket_pushes;
+        self.stats.queue_redistributions = qc.redistributions;
+        self.stats.queue_moves = qc.moves;
         self.stats.queue_cancels = qc.cancels;
+        self.stats.queue_dropped = qc.dropped;
         let audit = self.build_audit();
         let mut trace = self.trace.take().unwrap_or_default();
         // Ops are recorded at their (possibly future) execution instants in

@@ -43,15 +43,6 @@ pub trait FlowScheduler {
     fn schedule(&mut self, at: Time, flow: FlowId) -> EventKey;
     /// Cancel a previously scheduled network event.
     fn cancel(&mut self, key: EventKey);
-    /// Move the event behind `old` to `at`; return the replacement's key.
-    /// Must behave exactly like `schedule(at, flow)` then `cancel(old)`,
-    /// which is the default; a queue that can re-key an entry in place
-    /// overrides it.
-    fn reschedule(&mut self, old: EventKey, at: Time, flow: FlowId) -> EventKey {
-        let key = self.schedule(at, flow);
-        self.cancel(old);
-        key
-    }
 }
 
 /// Description of a new flow.
@@ -677,8 +668,12 @@ impl Network {
                 continue;
             }
             reschedules += 1;
-            f.event = sched.reschedule(f.event, estimate, FlowId(id as u64));
+            // Replacement first, then the cancel: the new event's seq is
+            // drawn before the old one dies.
+            let old = f.event;
+            f.event = sched.schedule(estimate, FlowId(id as u64));
             f.event_time = estimate;
+            sched.cancel(old);
         }
         self.reschedules += reschedules;
         self.affected = affected;

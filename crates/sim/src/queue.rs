@@ -5,52 +5,58 @@
 //! the same instant pop in insertion order. This makes every simulation run
 //! a pure function of its inputs and seeds.
 //!
-//! The queue stores entries in two lanes:
+//! The queue is a monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+//! J. ACM 1990). It is exact here because no key is ever below the current
+//! instant [`EventQueue::now`]: schedules into the past are clamped forward.
+//! An entry lives in one of 65 buckets, chosen by the highest bit in which
+//! its time differs from `now()`:
 //!
-//! * **The heap** — an indexed 4-ary min-heap holding every event due
-//!   after the current instant ([`EventQueue::now`]). A dense per-slot
-//!   position array follows each entry through its sifts, so a cancelled
-//!   entry is removed at once and a rescheduled one is re-keyed where it
-//!   stands ([`EventQueue::reschedule`]). The heap never holds debris.
-//! * **The same-instant lane** — a FIFO of events scheduled for the
-//!   current instant itself, including schedules into the past that are
-//!   clamped forward. About a quarter of all schedules in an MPI run
-//!   target the instant being processed; in a heap each would sift to the
-//!   root and straight back out.
+//! * **Bucket 0** is the FIFO of events due at `now()` itself. About a
+//!   quarter of all schedules in an MPI run target the instant being
+//!   processed, and each is a plain append.
+//! * **Bucket `i ≥ 1`** holds the events whose time first differs from
+//!   `now()` in bit `i - 1`. A schedule is one XOR, one leading-zeros count
+//!   and one `Vec::push`; a bitmask records which buckets are non-empty.
 //!
-//! `pop` takes the smaller `(time, seq)` key of the lane front and the heap
-//! top. The lane is exact: every lane entry is due at `now()` and was
-//! scheduled after `now()` became current, so lane seqs increase front to
-//! back, and any heap entry due at `now()` was scheduled earlier and
-//! carries a smaller seq than every lane entry.
+//! When bucket 0 is used up, `pop` takes the lowest non-empty bucket, makes
+//! its earliest live time the new `now()` and redistributes the bucket's
+//! entries, each to a strictly lower bucket. The moves are stable appends,
+//! and all entries due at one instant always share a bucket, so they reach
+//! bucket 0 in seq order: the `(time, seq)` order is kept exactly, with no
+//! comparison heap and no sift.
 //!
-//! Every entry occupies a payload slot from schedule until it leaves the
-//! queue. An [`EventKey`] names `(seq, slot)`, and the slot remembers the
-//! seq of the entry it currently holds, so a key whose event already
+//! Every entry occupies a payload slot from schedule until it pops or is
+//! cancelled. An [`EventKey`] names `(seq, slot)`, and the slot remembers
+//! the seq of the entry it currently holds, so a key whose event already
 //! popped, was cancelled, or whose slot was reused by a later event is
-//! rejected by one comparison — no hash set is needed. Only cancelled lane
-//! entries are removed lazily: they stay in the FIFO, payload dropped,
-//! until they reach its front.
+//! rejected by one comparison. A cancel frees the slot at once and leaves
+//! its entry in its bucket, dead. Dead entries are dropped when their
+//! bucket is redistributed or reached, and an amortized purge keeps the
+//! stored entries at most `2 * live + 64`.
 //!
-//! Payloads live out-of-line in the slot slab and the heap sifts only
-//! 24-byte `(time, seq, slot)` keys. With the MPI world's ~72-byte event
-//! enum, sifting full entries made heap push/pop ~70% of event-loop time
-//! (gprofng, fig8 sweep); the indirection removes the payload `memcpy`
-//! from every sift level while leaving pop order — a pure function of
-//! `(time, seq)` — untouched.
+//! Payloads live out-of-line in the slot slab, so redistribution moves
+//! only 24-byte `(time, seq, slot)` entries and checks liveness in a dense
+//! array of slot seqs.
 
 use crate::time::Time;
-use std::collections::VecDeque;
 
 /// Sequence number reserved for [`EventKey::default`] and for empty slots.
 /// `schedule` hands out sequence numbers counting up from zero, so this
 /// value is never assigned to a real event.
 const SENTINEL_SEQ: u64 = u64::MAX;
 
-/// Position of a slot whose entry waits in the same-instant lane.
-const IN_LANE: u32 = u32::MAX;
+/// Bucket 0 for the current instant, then one per bit of a 64-bit time.
+const BUCKETS: usize = 65;
 
-/// Handle to a scheduled event, usable for cancellation and rescheduling.
+/// Capacity (entries) an emptied bucket keeps for reuse. Larger buffers
+/// are freed: each bucket would otherwise keep the peak it ever reached,
+/// and those peaks sum to many times the largest queue.
+const RETAIN: usize = 256;
+
+/// Dead entries tolerated beyond the live count before a purge.
+const PURGE_SLACK: usize = 64;
+
+/// Handle to a scheduled event, usable for cancellation.
 /// The default key is a reserved sentinel that never matches a live event:
 /// cancelling it is always a no-op returning `false`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -69,6 +75,7 @@ impl Default for EventKey {
 }
 
 /// One queued entry: ordering key plus the slab slot holding the payload.
+/// The entry is live while its slot still holds its seq.
 #[derive(Clone, Copy)]
 struct Entry {
     time: Time,
@@ -76,155 +83,27 @@ struct Entry {
     slot: u32,
 }
 
-impl Entry {
-    /// Ordering key. `(time, seq)` is a *strict* total order (seqs are
-    /// unique), so every correct queue pops the same sequence — the heap's
-    /// internal shape can never influence a simulation.
-    ///
-    /// Packed as `time << 64 | seq`: a single `u128` compare is
-    /// branchless (sub/sbb), where the equivalent tuple compare turns
-    /// into data-dependent branches that mispredict badly in the sift
-    /// loops. Ordering is identical to the lexicographic `(time, seq)`.
-    #[inline]
-    fn key(&self) -> u128 {
-        ((self.time.0 as u128) << 64) | self.seq as u128
-    }
-}
-
-/// Branching factor of the sift heap. A 4-ary heap is half as deep as a
-/// binary one and its four children sit in at most two cache lines of
-/// 24-byte entries, which measurably beats `std::collections::BinaryHeap`
-/// on the simulator's pop-heavy workload.
-const HEAP_ARITY: usize = 4;
-
-/// A `Vec`-backed 4-ary min-heap of [`Entry`]s ordered by `(time, seq)`,
-/// indexed by slot: `pos[slot]` is the heap index of the entry in `slot`.
-/// Every sift step that moves an entry rewrites its position.
-#[derive(Default)]
-struct IndexedHeap {
-    v: Vec<Entry>,
-    /// Heap index per slab slot (meaningful only for slots in the heap).
-    pos: Vec<u32>,
-}
-
-impl IndexedHeap {
-    #[inline]
-    fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    #[inline]
-    fn peek(&self) -> Option<&Entry> {
-        self.v.first()
-    }
-
-    #[inline]
-    fn place(&mut self, i: usize, e: Entry) {
-        self.v[i] = e;
-        self.pos[e.slot as usize] = i as u32;
-    }
-
-    fn push(&mut self, e: Entry) {
-        let i = self.v.len();
-        self.v.push(e);
-        self.sift_up(i, e);
-    }
-
-    fn pop(&mut self) -> Option<Entry> {
-        let last = self.v.pop()?;
-        if self.v.is_empty() {
-            return Some(last);
-        }
-        let top = self.v[0];
-        self.sift_down(0, last);
-        Some(top)
-    }
-
-    /// Remove the entry at heap index `i`.
-    fn remove(&mut self, i: usize) {
-        let last = self.v.pop().expect("remove from a non-empty heap");
-        if i < self.v.len() {
-            self.settle(i, last);
-        }
-    }
-
-    /// Put `e` into the hole at `i` (an emptied or re-keyed position),
-    /// sifting whichever way it must go.
-    fn settle(&mut self, i: usize, e: Entry) {
-        if i > 0 && e.key() < self.v[(i - 1) / HEAP_ARITY].key() {
-            self.sift_up(i, e);
-        } else {
-            self.sift_down(i, e);
-        }
-    }
-
-    /// Move the hole at `i` toward the root until the parent is smaller,
-    /// writing `e` once at its final position.
-    fn sift_up(&mut self, mut i: usize, e: Entry) {
-        let key = e.key();
-        while i > 0 {
-            let parent = (i - 1) / HEAP_ARITY;
-            let p = self.v[parent];
-            if p.key() <= key {
-                break;
-            }
-            self.place(i, p);
-            i = parent;
-        }
-        self.place(i, e);
-    }
-
-    /// Move the hole at `i` toward the leaves, descending to the smallest
-    /// child until none is smaller than `e`.
-    fn sift_down(&mut self, mut i: usize, e: Entry) {
-        let key = e.key();
-        let n = self.v.len();
-        loop {
-            let first = i * HEAP_ARITY + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            let mut min_key = self.v[first].key();
-            for c in (first + 1)..(first + HEAP_ARITY).min(n) {
-                let k = self.v[c].key();
-                if k < min_key {
-                    min = c;
-                    min_key = k;
-                }
-            }
-            if min_key >= key {
-                break;
-            }
-            self.place(i, self.v[min]);
-            i = min;
-        }
-        self.place(i, e);
-    }
-}
-
-/// One payload slot of the slab.
-struct Slot<E> {
-    /// Seq of the live entry held here; [`SENTINEL_SEQ`] while the slot is
-    /// free or its lane entry was cancelled.
-    seq: u64,
-    payload: Option<E>,
-}
-
-/// Counted queue work since the queue was created: where schedules went
-/// and how cancellations were paid for. Deterministic for a given run, so
-/// two builds can be compared by it exactly.
+/// Counted queue work since the queue was created: where schedules went,
+/// what advancing the clock cost, and how cancels were paid for.
+/// Deterministic for a given run, so two builds can be compared by it
+/// exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueCounters {
-    /// Entries pushed onto the heap (due after the current instant).
-    pub heap_pushes: u64,
-    /// Entries appended to the same-instant lane.
-    pub lane_pushes: u64,
-    /// [`EventQueue::reschedule`] calls that re-keyed a heap entry in
-    /// place.
-    pub reschedules: u64,
-    /// Heap entries removed at once by a cancel.
+    /// Schedules appended to bucket 0: due at the current instant, or
+    /// clamped to it.
+    pub now_pushes: u64,
+    /// Schedules appended to a later bucket.
+    pub bucket_pushes: u64,
+    /// Buckets redistributed by a pop: one per instant the clock advanced
+    /// to.
+    pub redistributions: u64,
+    /// Live entries moved to a lower bucket by the redistributions.
+    pub moves: u64,
+    /// Live events cancelled.
     pub cancels: u64,
+    /// Dead (cancelled) entries dropped from storage: when their bucket
+    /// was redistributed or reached, or by a purge.
+    pub dropped: u64,
 }
 
 /// Internal-consistency snapshot of an [`EventQueue`], used by the
@@ -233,41 +112,46 @@ pub struct QueueCounters {
 pub struct QueueAudit {
     /// Live events as reported by [`EventQueue::len`] (the live counter).
     pub reported_live: usize,
-    /// Live entries actually found by a full scan: heap entries whose slot
-    /// holds their seq and points back at their heap index, plus lane
-    /// entries whose slot holds their seq.
+    /// Live entries actually found by a full scan: entries whose slot
+    /// holds their seq and which sit in the bucket their time selects.
     pub actual_live: usize,
-    /// Total stored entries: the heap plus the same-instant lane. The heap
-    /// holds no debris, so this exceeds the live count only by cancelled
-    /// lane entries awaiting lazy removal.
-    pub heap_total: usize,
+    /// Total stored entries, live and dead. Cancels are lazy, so this may
+    /// exceed the live count, by at most the live count plus 64.
+    pub stored: usize,
     /// Number of schedule calls that targeted the past and were clamped
     /// forward (see [`EventQueue::schedule`]).
     pub causality_violations: u64,
 }
 
 impl QueueAudit {
-    /// True when the reported live count matches the stored entries.
+    /// True when the reported live count matches the stored entries and
+    /// the dead ones stay within the purge bound.
     pub fn is_consistent(&self) -> bool {
-        self.reported_live == self.actual_live && self.actual_live <= self.heap_total
+        self.reported_live == self.actual_live && self.stored <= 2 * self.actual_live + PURGE_SLACK
     }
 }
 
 /// A deterministic time-ordered event queue.
 pub struct EventQueue<E> {
-    heap: IndexedHeap,
-    /// Entries due at `last_popped`, in seq order.
-    lane: VecDeque<Entry>,
-    /// Payload storage, indexed by [`Entry::slot`]. A slot is occupied
-    /// from schedule until its entry pops, is cancelled from the heap, or
-    /// (cancelled in the lane) reaches the lane front; then it is recycled
-    /// through `free`.
-    slab: Vec<Slot<E>>,
-    /// Recycled slab slots.
+    /// `buckets[0]` holds entries due at `last_popped` in seq order;
+    /// `buckets[i]` those whose time first differs from it in bit `i - 1`.
+    buckets: [Vec<Entry>; BUCKETS],
+    /// Bit `i - 1` is set while `buckets[i]` is non-empty (`i ≥ 1`).
+    occupied: u64,
+    /// Read position in `buckets[0]`: entries before it have left.
+    head: usize,
+    /// Seq of the live entry held in each slot; [`SENTINEL_SEQ`] while the
+    /// slot is free.
+    seqs: Vec<u64>,
+    /// Payload per slot, `Some` exactly while the slot is live.
+    payloads: Vec<Option<E>>,
+    /// Recycled slots.
     free: Vec<u32>,
     next_seq: u64,
-    /// Live entries in both lanes.
+    /// Live entries.
     live: usize,
+    /// Cancelled entries still stored in a bucket.
+    dead: usize,
     /// Last time popped; used to detect causality violations.
     last_popped: Time,
     /// Schedule calls that targeted the past and were clamped forward.
@@ -285,12 +169,15 @@ impl<E> EventQueue<E> {
     /// Create an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: IndexedHeap::default(),
-            lane: VecDeque::new(),
-            slab: Vec::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            head: 0,
+            seqs: Vec::new(),
+            payloads: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
             live: 0,
+            dead: 0,
             last_popped: Time::ZERO,
             causality_violations: 0,
             counters: QueueCounters::default(),
@@ -305,107 +192,76 @@ impl<E> EventQueue<E> {
     /// layer can report it instead of the bug silently disappearing.
     #[inline]
     pub fn schedule(&mut self, time: Time, payload: E) -> EventKey {
-        let (time, seq) = self.stamp(time);
+        if time < self.last_popped {
+            self.causality_violations += 1;
+        }
+        let time = time.max(self.last_popped);
+        let seq = self.next_seq;
+        assert!(seq != SENTINEL_SEQ, "event sequence space exhausted");
+        self.next_seq += 1;
         let slot = self.alloc_slot(seq, payload);
-        let e = Entry { time, seq, slot };
-        if time == self.last_popped {
-            self.heap.pos[slot as usize] = IN_LANE;
-            self.lane.push_back(e);
-            self.counters.lane_pushes += 1;
+        let b = self.bucket(time);
+        self.push(b, Entry { time, seq, slot });
+        if b == 0 {
+            self.counters.now_pushes += 1;
         } else {
-            self.heap.push(e);
-            self.counters.heap_pushes += 1;
+            self.counters.bucket_pushes += 1;
         }
         self.live += 1;
         EventKey { seq, slot }
     }
 
-    /// Replace the event behind `old` with `payload` at `time`; return the
-    /// replacement's key.
-    ///
-    /// Equivalent to `schedule(time, payload)` followed by `cancel(old)`:
-    /// the replacement draws the next sequence number exactly as
-    /// `schedule` would, so pop order is identical. When `old` is a live
-    /// heap entry it is re-keyed where it stands — one sift instead of a
-    /// push plus a removal.
-    pub fn reschedule(&mut self, old: EventKey, time: Time, payload: E) -> EventKey {
-        let in_heap = self.live_slot(old).filter(|&s| self.heap.pos[s] != IN_LANE);
-        let Some(s) = in_heap else {
-            let key = self.schedule(time, payload);
-            self.cancel(old);
-            return key;
-        };
-        let (time, seq) = self.stamp(time);
-        let slot = &mut self.slab[s];
-        slot.seq = seq;
-        slot.payload = Some(payload);
-        let i = self.heap.pos[s] as usize;
-        self.heap.settle(
-            i,
-            Entry {
-                time,
-                seq,
-                slot: old.slot,
-            },
-        );
-        self.counters.reschedules += 1;
-        EventKey {
-            seq,
-            slot: old.slot,
-        }
+    /// The bucket of an entry due at `time` (never before `now()`).
+    #[inline]
+    fn bucket(&self, time: Time) -> usize {
+        (u64::BITS - (time.0 ^ self.last_popped.0).leading_zeros()) as usize
     }
 
-    /// Clamp `time` to the present (counting a violation) and draw the
-    /// next sequence number.
     #[inline]
-    fn stamp(&mut self, time: Time) -> (Time, u64) {
-        if time < self.last_popped {
-            self.causality_violations += 1;
+    fn push(&mut self, b: usize, e: Entry) {
+        self.buckets[b].push(e);
+        if b > 0 {
+            self.occupied |= 1 << (b - 1);
         }
-        let seq = self.next_seq;
-        assert!(seq != SENTINEL_SEQ, "event sequence space exhausted");
-        self.next_seq += 1;
-        (time.max(self.last_popped), seq)
     }
 
     #[inline]
     fn alloc_slot(&mut self, seq: u64, payload: E) -> u32 {
-        let slot = Slot {
-            seq,
-            payload: Some(payload),
-        };
         match self.free.pop() {
             Some(s) => {
-                self.slab[s as usize] = slot;
+                self.seqs[s as usize] = seq;
+                self.payloads[s as usize] = Some(payload);
                 s
             }
             None => {
-                let s = self.slab.len();
+                let s = self.seqs.len();
                 assert!(s < u32::MAX as usize, "event slab exhausted");
-                self.slab.push(slot);
-                self.heap.pos.push(0);
+                self.seqs.push(seq);
+                self.payloads.push(Some(payload));
                 s as u32
             }
         }
     }
 
-    /// Release a slot whose entry left the queue.
+    /// Free a live slot and hand back its payload.
     #[inline]
-    fn release(&mut self, slot: u32) -> Option<E> {
-        let s = &mut self.slab[slot as usize];
-        s.seq = SENTINEL_SEQ;
+    fn release(&mut self, slot: u32) -> E {
+        self.seqs[slot as usize] = SENTINEL_SEQ;
         self.free.push(slot);
-        s.payload.take()
+        self.payloads[slot as usize]
+            .take()
+            .expect("live slot holds a payload")
     }
 
-    /// The slot index of `key` if it names a live event.
     #[inline]
-    fn live_slot(&self, key: EventKey) -> Option<usize> {
-        let s = key.slot as usize;
-        self.slab
-            .get(s)
-            .is_some_and(|slot| slot.seq == key.seq)
-            .then_some(s)
+    fn is_live(&self, e: &Entry) -> bool {
+        self.seqs[e.slot as usize] == e.seq
+    }
+
+    #[inline]
+    fn drop_dead(&mut self, n: usize) {
+        self.dead -= n;
+        self.counters.dropped += n as u64;
     }
 
     /// Cancel a previously scheduled event. Returns true if the event was
@@ -413,85 +269,126 @@ impl<E> EventQueue<E> {
     /// Cancelling a popped event, a cancelled event, or the default
     /// sentinel key is a no-op returning false and leaves `len()` intact.
     pub fn cancel(&mut self, key: EventKey) -> bool {
-        let Some(s) = self.live_slot(key) else {
+        if self.seqs.get(key.slot as usize) != Some(&key.seq) {
             return false;
-        };
-        match self.heap.pos[s] {
-            IN_LANE => {
-                // Lazy: the lane entry stays until it reaches the front;
-                // the slot is held until then so it cannot be reused
-                // under it.
-                let slot = &mut self.slab[s];
-                slot.seq = SENTINEL_SEQ;
-                slot.payload = None;
-            }
-            i => {
-                self.heap.remove(i as usize);
-                self.release(key.slot);
-                self.counters.cancels += 1;
-            }
         }
+        self.release(key.slot);
         self.live -= 1;
+        self.dead += 1;
+        self.counters.cancels += 1;
+        self.bound_dead();
         true
     }
 
-    /// The lane holds the next entry (else the heap does, if any).
+    /// Purge when the dead entries outnumber the live ones by more than
+    /// [`PURGE_SLACK`]. Every dead entry a purge drops was cancelled since
+    /// the last purge, so the purges cost O(1) per cancel, amortized.
     #[inline]
-    fn lane_first(&self) -> Option<bool> {
-        match (self.lane.front(), self.heap.peek()) {
-            (Some(l), Some(h)) => Some(l.key() < h.key()),
-            (Some(_), None) => Some(true),
-            (None, Some(_)) => Some(false),
-            (None, None) => None,
+    fn bound_dead(&mut self) {
+        if self.dead > self.live + PURGE_SLACK {
+            self.purge();
         }
     }
 
-    /// Drop cancelled entries from the front of the lane.
-    #[inline]
-    fn skip_lane_debris(&mut self) {
-        while let Some(e) = self.lane.front() {
-            if self.slab[e.slot as usize].seq == e.seq {
-                return;
+    #[cold]
+    fn purge(&mut self) {
+        self.buckets[0].drain(..self.head);
+        self.head = 0;
+        let seqs = &self.seqs;
+        for (b, v) in self.buckets.iter_mut().enumerate() {
+            v.retain(|e| seqs[e.slot as usize] == e.seq);
+            if b > 0 && v.is_empty() {
+                self.occupied &= !(1 << (b - 1));
             }
-            let slot = e.slot;
-            self.lane.pop_front();
-            self.free.push(slot);
         }
+        self.drop_dead(self.dead);
+    }
+
+    /// Refill the used-up bucket 0 from the lowest bucket holding a live
+    /// entry: its earliest live time becomes `now()`. Returns false when
+    /// no live entry remains.
+    fn advance(&mut self) -> bool {
+        self.buckets[0].clear();
+        self.head = 0;
+        while self.occupied != 0 {
+            let b = self.occupied.trailing_zeros() as usize + 1;
+            self.occupied &= self.occupied - 1;
+            let mut src = std::mem::take(&mut self.buckets[b]);
+            let min = src.iter().filter(|e| self.is_live(e)).map(|e| e.time).min();
+            if let Some(min) = min {
+                self.last_popped = min;
+                self.counters.redistributions += 1;
+            }
+            // Relative to the new now(), every live entry belongs to a
+            // lower bucket; a bucket of dead entries is just dropped.
+            let (mut moved, mut dead) = (0, 0);
+            for e in src.drain(..) {
+                if self.is_live(&e) {
+                    self.push(self.bucket(e.time), e);
+                    moved += 1;
+                } else {
+                    dead += 1;
+                }
+            }
+            self.drop_dead(dead);
+            self.counters.moves += moved;
+            if src.capacity() <= RETAIN {
+                self.buckets[b] = src;
+            }
+            if min.is_some() {
+                return true;
+            }
+        }
+        false
     }
 
     /// Remove and return the earliest live event.
     #[inline]
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.skip_lane_debris();
-        let e = if self.lane_first()? {
-            self.lane.pop_front()
-        } else {
-            self.heap.pop()
+        loop {
+            let Some(&e) = self.buckets[0].get(self.head) else {
+                if self.advance() {
+                    continue;
+                }
+                return None;
+            };
+            self.head += 1;
+            if self.is_live(&e) {
+                let payload = self.release(e.slot);
+                self.live -= 1;
+                self.bound_dead();
+                return Some((e.time, payload));
+            }
+            self.drop_dead(1);
         }
-        .expect("chosen lane is non-empty");
-        let payload = self.release(e.slot).expect("live slot holds a payload");
-        self.live -= 1;
-        self.last_popped = e.time;
-        Some((e.time, payload))
     }
 
     /// Time of the earliest live event without removing it.
-    pub fn peek_time(&mut self) -> Option<Time> {
+    pub fn peek_time(&self) -> Option<Time> {
         self.peek_key().map(|(t, _)| t)
     }
 
     /// Full `(time, seq)` ordering key of the earliest live event without
-    /// removing it. Sequence numbers count `schedule` and `reschedule`
+    /// removing it or moving `now()`. Sequence numbers count `schedule`
     /// calls from zero, so a caller that logs those calls can name the
-    /// event behind the head of the queue.
-    pub fn peek_key(&mut self) -> Option<(Time, u64)> {
-        self.skip_lane_debris();
-        let e = if self.lane_first()? {
-            self.lane.front()
-        } else {
-            self.heap.peek()
-        }?;
-        Some((e.time, e.seq))
+    /// event behind the head of the queue. Past bucket 0 this scans the
+    /// lowest bucket holding a live entry.
+    pub fn peek_key(&self) -> Option<(Time, u64)> {
+        let mut first = self.buckets[0][self.head..]
+            .iter()
+            .find(|e| self.is_live(e));
+        let mut occupied = self.occupied;
+        while first.is_none() && occupied != 0 {
+            let b = occupied.trailing_zeros() as usize + 1;
+            occupied &= occupied - 1;
+            // Equal times share a bucket in seq order, so the first entry
+            // of the earliest time carries the smallest key.
+            first = self.buckets[b]
+                .iter()
+                .filter(|e| self.is_live(e))
+                .min_by_key(|e| e.time);
+        }
+        first.map(|e| (e.time, e.seq))
     }
 
     /// Number of live scheduled events.
@@ -523,16 +420,17 @@ impl<E> EventQueue<E> {
     /// Cross-check the reported live count against the stored entries
     /// (O(entries) scan; intended for end-of-run audits, not the hot path).
     pub fn audit(&self) -> QueueAudit {
-        let heap_live = self.heap.v.iter().enumerate().filter(|&(i, e)| {
-            self.slab[e.slot as usize].seq == e.seq && self.heap.pos[e.slot as usize] as usize == i
-        });
-        let lane_live = self.lane.iter().filter(|e| {
-            self.slab[e.slot as usize].seq == e.seq && self.heap.pos[e.slot as usize] == IN_LANE
-        });
+        let stored = || {
+            let rest = self.buckets.iter().enumerate().skip(1);
+            let now = self.buckets[0][self.head..].iter().map(|e| (0, e));
+            now.chain(rest.flat_map(|(b, v)| v.iter().map(move |e| (b, e))))
+        };
         QueueAudit {
             reported_live: self.live,
-            actual_live: heap_live.count() + lane_live.count(),
-            heap_total: self.heap.len() + self.lane.len(),
+            actual_live: stored()
+                .filter(|&(b, e)| self.is_live(e) && self.bucket(e.time) == b)
+                .count(),
+            stored: stored().count(),
             causality_violations: self.causality_violations,
         }
     }
@@ -542,6 +440,13 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use crate::time::Duration;
+
+    /// The purge bound every operation must leave intact.
+    fn assert_bounded<E>(q: &EventQueue<E>) {
+        let audit = q.audit();
+        assert!(audit.is_consistent(), "{audit:?}");
+        assert!(audit.stored <= 2 * q.len() + PURGE_SLACK, "{audit:?}");
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -567,6 +472,32 @@ mod tests {
     }
 
     #[test]
+    fn equal_times_scheduled_from_different_buckets_pop_in_seq_order() {
+        // Events due at 15 (0b1111) scheduled at now() = 0, 8, 12 and 14
+        // start in buckets 4, 3, 2 and 1; one scheduled once 15 is the
+        // current instant goes to bucket 0. Redistribution must still hand
+        // them out in seq order.
+        let mut q = EventQueue::new();
+        for (i, now) in [0u64, 8, 12, 14].into_iter().enumerate() {
+            if now > 0 {
+                q.schedule(Time(now), 0);
+                assert_eq!(q.pop(), Some((Time(now), 0)));
+            }
+            assert_eq!(q.bucket(Time(15)), 4 - i, "now = {now}");
+            q.schedule(Time(15), 1 + i as u32);
+            q.schedule(Time(16 + i as u64), 0);
+        }
+        assert_eq!(q.pop(), Some((Time(15), 1)));
+        assert_eq!(q.bucket(Time(15)), 0);
+        q.schedule(Time(15), 5);
+        for due in 2..=5 {
+            assert_eq!(q.peek_key().map(|(t, _)| t), Some(Time(15)));
+            assert_eq!(q.pop(), Some((Time(15), due)));
+        }
+        assert_eq!(q.len(), 4, "only the later events remain");
+    }
+
+    #[test]
     fn cancel_skips_entry() {
         let mut q = EventQueue::new();
         let _a = q.schedule(Time(1), "a");
@@ -587,6 +518,20 @@ mod tests {
         q.schedule(Time(2), "b");
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(Time(2)));
+    }
+
+    #[test]
+    fn peek_does_not_move_now() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(40), "a");
+        q.schedule(Time(50), "b");
+        assert_eq!(q.peek_key(), Some((Time(40), 0)));
+        assert_eq!(q.now(), Time::ZERO);
+        // Still free to schedule between now() and the head.
+        q.schedule(Time(20), "c");
+        assert_eq!(q.causality_violations(), 0);
+        assert_eq!(q.pop(), Some((Time(20), "c")));
+        assert_eq!(q.pop(), Some((Time(40), "a")));
     }
 
     #[test]
@@ -639,23 +584,28 @@ mod tests {
 
     #[test]
     fn stale_key_cannot_cancel_the_slot_reuser() {
-        // A popped event's slot is recycled by the next schedule; the old
-        // key must be rejected by the slot's new seq.
+        // A cancelled event's slot is recycled by the next schedule while
+        // its dead entry is still stored; neither the old key nor the dead
+        // entry may touch the reuser.
         let mut q = EventQueue::new();
         let a = q.schedule(Time(1), "a");
-        assert_eq!(q.pop(), Some((Time(1), "a")));
-        let b = q.schedule(Time(2), "b");
+        assert!(q.cancel(a));
+        let b = q.schedule(Time(1), "b");
         assert_eq!(a.slot, b.slot, "slot is reused");
         assert!(!q.cancel(a));
         assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Time(2), "b")));
+        assert_eq!(q.audit().stored, 2, "the dead entry waits in its bucket");
+        assert_eq!(q.pop(), Some((Time(1), "b")));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.counters().dropped, 1);
     }
 
     #[test]
     fn cancel_then_reschedule_cycles_stay_bounded_and_consistent() {
         // The drain-reschedule pattern the network engine uses: schedule a
-        // replacement, cancel the old event, repeat. Storage must not grow
-        // and len() must match the heap at every step.
+        // replacement, cancel the old event, repeat. Cancels are lazy, so
+        // dead entries accumulate, but a purge keeps the stored entries
+        // within 2 * live + 64 at every step.
         let mut q = EventQueue::new();
         let mut key = q.schedule(Time(10), 0u32);
         for i in 1..1000u32 {
@@ -663,37 +613,33 @@ mod tests {
             assert!(q.cancel(key));
             key = new;
             assert_eq!(q.len(), 1);
-            assert_eq!(q.audit().heap_total, 1, "cancel leaves no debris");
+            assert_bounded(&q);
         }
+        assert!(q.counters().dropped > 0, "purges ran");
         let audit = q.audit();
         assert!(audit.is_consistent(), "{audit:?}");
         assert_eq!(audit.reported_live, 1);
-        assert!(q.pop().is_some());
+        assert_eq!(q.pop(), Some((Time(1009), 999)));
         assert!(q.pop().is_none());
         let audit = q.audit();
-        assert_eq!(audit.heap_total, 0, "no leaked entries: {audit:?}");
+        assert_eq!(audit.stored, 0, "no leaked entries: {audit:?}");
         assert!(audit.is_consistent());
     }
 
     #[test]
-    fn heap_holds_exactly_the_live_entries_after_cancel_or_reschedule() {
-        // Eager removal and in-place re-keying: with the lane empty, the
-        // stored entries are exactly the live ones after every operation.
+    fn stored_entries_stay_bounded_after_cancels_and_pops() {
+        // Schedule-then-cancel and plain cancels over a live set of 100,
+        // then a full drain: the bound holds after every operation,
+        // including the pops that shrink the live count under the dead.
         let mut q = EventQueue::new();
         let mut keys: Vec<EventKey> = (0..100u64).map(|i| q.schedule(Time(1 + i), i)).collect();
         for round in 0..200u64 {
             for (j, k) in keys.iter_mut().enumerate() {
                 let t = Time(200 + (round * 37 + j as u64 * 11) % 500);
-                if (round + j as u64).is_multiple_of(3) {
-                    let new = q.schedule(t, round);
-                    assert!(q.cancel(*k));
-                    *k = new;
-                } else {
-                    *k = q.reschedule(*k, t, round);
-                }
-                let audit = q.audit();
-                assert!(audit.is_consistent(), "{audit:?}");
-                assert_eq!(audit.heap_total, q.len(), "{audit:?}");
+                let new = q.schedule(t, round);
+                assert!(q.cancel(*k));
+                *k = new;
+                assert_bounded(&q);
             }
         }
         assert_eq!(q.len(), 100);
@@ -703,81 +649,43 @@ mod tests {
             assert!(t >= last.0);
             last.0 = t;
             popped += 1;
-            assert_eq!(q.audit().heap_total, q.len());
+            assert_bounded(&q);
         }
         assert_eq!(popped, 100);
+        let c = q.counters();
+        assert_eq!(c.cancels, 20_000);
+        assert_eq!(c.dropped, c.cancels, "every dead entry was dropped");
     }
 
     #[test]
-    fn reschedule_matches_schedule_then_cancel() {
-        // Same seq draw and same pop order as the two-call form.
-        let mut a = EventQueue::new();
-        let mut b = EventQueue::new();
-        let mut ka = Vec::new();
-        let mut kb = Vec::new();
-        for i in 0..20u64 {
-            ka.push(a.schedule(Time(100 + 7 * i % 50), i));
-            kb.push(b.schedule(Time(100 + 7 * i % 50), i));
-        }
-        for i in (0..20usize).step_by(2) {
-            let t = Time(90 + (13 * i as u64) % 40);
-            ka[i] = a.reschedule(ka[i], t, 100 + i as u64);
-            let new = b.schedule(t, 100 + i as u64);
-            assert!(b.cancel(kb[i]));
-            kb[i] = new;
-        }
-        assert_eq!(a.counters().reschedules, 10);
-        assert_eq!(a.len(), b.len());
-        loop {
-            assert_eq!(a.peek_key(), b.peek_key());
-            let (pa, pb) = (a.pop(), b.pop());
-            assert_eq!(pa, pb);
-            if pa.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn reschedule_of_a_dead_key_schedules_fresh() {
+    fn same_instant_schedules_use_bucket_0_and_keep_seq_order() {
         let mut q = EventQueue::new();
-        let a = q.schedule(Time(1), "a");
-        assert_eq!(q.pop(), Some((Time(1), "a")));
-        let b = q.reschedule(a, Time(5), "b");
-        let c = q.reschedule(EventKey::default(), Time(3), "c");
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.counters().reschedules, 0);
-        assert_eq!(q.pop(), Some((Time(3), "c")));
-        assert_eq!(q.pop(), Some((Time(5), "b")));
-        assert!(!q.cancel(b) && !q.cancel(c));
-    }
-
-    #[test]
-    fn same_instant_schedules_use_the_lane_and_keep_seq_order() {
-        let mut q = EventQueue::new();
-        q.schedule(Time(5), "h1"); // heap: due later
+        q.schedule(Time(5), "h1"); // later bucket
         q.schedule(Time(10), "h2");
         assert_eq!(q.pop(), Some((Time(5), "h1")));
-        q.schedule(Time(10), "h3"); // heap: after h2 by seq
-        q.schedule(Time(5), "l1"); // lane: due now
-        q.schedule(Time(1), "l2"); // past: clamped into the lane
+        q.schedule(Time(10), "h3"); // later bucket, after h2 by seq
+        q.schedule(Time(5), "l1"); // bucket 0: due now
+        q.schedule(Time(1), "l2"); // past: clamped into bucket 0
         let c = q.counters();
-        assert_eq!((c.heap_pushes, c.lane_pushes), (3, 2));
+        assert_eq!((c.bucket_pushes, c.now_pushes), (3, 2));
+        assert_eq!((c.redistributions, c.moves), (1, 1));
         assert_eq!(q.causality_violations(), 1);
         assert_eq!(q.pop(), Some((Time(5), "l1")));
         assert_eq!(q.pop(), Some((Time(5), "l2")));
         assert_eq!(q.pop(), Some((Time(10), "h2")));
-        // Now at 10: the heap's h3 (older seq) precedes a new lane entry.
+        // Now at 10: the redistributed h3 (older seq) precedes a new
+        // bucket-0 entry.
         q.schedule(Time(10), "l3");
         assert_eq!(q.pop(), Some((Time(10), "h3")));
         assert_eq!(q.pop(), Some((Time(10), "l3")));
         assert!(q.is_empty());
+        assert_eq!(q.counters().redistributions, 2);
     }
 
     #[test]
-    fn cancelled_lane_entries_are_dropped_at_the_front() {
+    fn cancelled_bucket_0_entries_are_dropped_when_reached() {
         let mut q = EventQueue::new();
-        let a = q.schedule(Time::ZERO, "a"); // lane: now is zero
+        let a = q.schedule(Time::ZERO, "a"); // bucket 0: now is zero
         q.schedule(Time::ZERO, "b");
         let c = q.schedule(Time::ZERO, "c");
         assert!(q.cancel(a));
@@ -786,12 +694,27 @@ mod tests {
         assert_eq!(q.len(), 1);
         let audit = q.audit();
         assert!(audit.is_consistent(), "{audit:?}");
-        assert_eq!(audit.heap_total, 3, "lane debris waits for the front");
-        assert_eq!(q.counters().cancels, 0, "lane cancels are lazy");
+        assert_eq!(audit.stored, 3, "dead entries wait until reached");
+        assert_eq!(q.counters().cancels, 2);
         assert_eq!(q.peek_key(), Some((Time::ZERO, 1)));
         assert_eq!(q.pop(), Some((Time::ZERO, "b")));
         assert_eq!(q.pop(), None);
-        assert_eq!(q.audit().heap_total, 0);
+        assert_eq!(q.audit().stored, 0);
+        assert_eq!(q.counters().dropped, 2);
+    }
+
+    #[test]
+    fn a_bucket_of_dead_entries_is_dropped_without_moving_now() {
+        let mut q = EventQueue::new();
+        let dead: Vec<EventKey> = (0..5).map(|i| q.schedule(Time(100 + i), i)).collect();
+        q.schedule(Time(1 << 20), 99);
+        for k in dead {
+            assert!(q.cancel(k));
+        }
+        assert_eq!(q.peek_key(), Some((Time(1 << 20), 5)));
+        assert_eq!(q.pop(), Some((Time(1 << 20), 99)));
+        let c = q.counters();
+        assert_eq!((c.redistributions, c.dropped), (1, 5));
     }
 
     #[test]
@@ -800,9 +723,12 @@ mod tests {
         let keys: Vec<EventKey> = (0..200u64).map(|i| q.schedule(Time(1000 - i), i)).collect();
         for k in keys.iter().take(150) {
             q.cancel(*k);
+            assert_bounded(&q);
         }
         assert_eq!(q.len(), 50);
-        assert_eq!(q.audit().heap_total, 50);
+        // The 133rd cancel left 133 dead against 67 live and purged them.
+        assert_eq!(q.counters().dropped, 133);
+        assert_eq!(q.audit().stored, 50 + 17);
         let mut last = Time::ZERO;
         let mut seen = Vec::new();
         while let Some((t, v)) = q.pop() {
@@ -827,6 +753,19 @@ mod tests {
         assert_eq!(q.causality_violations(), 1);
         assert_eq!(q.pop(), Some((Time(100), "past")));
         assert_eq!(q.audit().causality_violations, 1);
+    }
+
+    #[test]
+    fn far_future_times_use_the_top_bucket() {
+        let mut q = EventQueue::new();
+        q.schedule(Time(u64::MAX), "max");
+        q.schedule(Time(1 << 63), "half");
+        q.schedule(Time(3), "near");
+        assert_eq!(q.bucket(Time(u64::MAX)), 64);
+        assert_eq!(q.pop(), Some((Time(3), "near")));
+        assert_eq!(q.pop(), Some((Time(1 << 63), "half")));
+        assert_eq!(q.pop(), Some((Time(u64::MAX), "max")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

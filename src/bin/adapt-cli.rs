@@ -28,8 +28,24 @@ const EXIT_STALLED: i32 = 3;
 /// from both a plain deadlock ([`EXIT_STALLED`]) and argument errors.
 const EXIT_FAILED: i32 = 4;
 
-/// Exit code for a command line naming a flag that is not in [`FLAGS`].
+/// Exit code for a command line naming a flag that is not in [`FLAGS`],
+/// or giving a flag a value it cannot take ([`UsageError`]).
 const EXIT_USAGE: i32 = 2;
+
+/// A command line the CLI cannot run: a malformed or out-of-range value,
+/// an unknown choice, or flags that exclude each other. `main` prints it
+/// under the usage and exits with [`EXIT_USAGE`] instead of panicking.
+#[derive(Debug)]
+struct UsageError(String);
+
+/// Fail with a [`UsageError`] unless `ok`.
+fn ensure(ok: bool, msg: &str) -> Result<(), UsageError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(UsageError(msg.to_string()))
+    }
+}
 
 /// Every flag the CLI understands: `(name, value placeholder, help)`.
 /// An empty placeholder marks a boolean flag. The usage string is
@@ -54,7 +70,11 @@ const FLAGS: &[(&str, &str, &str)] = &[
         "library preset (default adapt)",
     ),
     ("msg", "BYTES", "message size (default 4 MiB)"),
-    ("noise", "PCT", "noise intensity percent (default 0)"),
+    (
+        "noise",
+        "PCT",
+        "noise intensity percent, 0 to under 50 (default 0)",
+    ),
     ("seed", "S", "master seed (default 1)"),
     ("gpu", "", "run the GPU path (bcast/reduce only)"),
     ("trace", "FILE.csv", "write the event trace as CSV"),
@@ -162,6 +182,46 @@ fn flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == &format!("--{key}"))
 }
 
+/// The value of `--key` parsed as a `T`.
+fn parsed<T>(args: &[String], key: &str) -> Result<Option<T>, UsageError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    arg(args, key)
+        .map(|s| {
+            s.parse()
+                .map_err(|e| UsageError(format!("--{key} {s}: {e}")))
+        })
+        .transpose()
+}
+
+/// The value of `--key` as a count of at least 1.
+fn positive<T>(args: &[String], key: &str) -> Result<Option<T>, UsageError>
+where
+    T: std::str::FromStr + PartialOrd + From<u8>,
+    T::Err: std::fmt::Display,
+{
+    let v: Option<T> = parsed(args, key)?;
+    ensure(
+        v.as_ref().is_none_or(|n| *n >= T::from(1)),
+        &format!("--{key} needs at least 1"),
+    )?;
+    Ok(v)
+}
+
+/// The value of `--key` (or `default`), which must be one of the
+/// `|`-separated choices its [`FLAGS`] placeholder lists.
+fn choice(args: &[String], key: &str, default: &str) -> Result<String, UsageError> {
+    let v = arg(args, key).unwrap_or_else(|| default.to_string());
+    let (_, choices, _) = FLAGS.iter().find(|f| f.0 == key).expect("checked by arg");
+    ensure(
+        choices.split('|').any(|c| c == v),
+        &format!("--{key} {v}: expected one of {choices}"),
+    )?;
+    Ok(v)
+}
+
 /// Observability flags: where to write the Chrome trace and metrics CSV,
 /// whether to print the critical path, and the bounded-memory streaming
 /// path (`--summary-out` / `--flight`).
@@ -175,27 +235,21 @@ struct ObsArgs {
 }
 
 impl ObsArgs {
-    fn parse(args: &[String]) -> ObsArgs {
+    fn parse(args: &[String]) -> Result<ObsArgs, UsageError> {
         let o = ObsArgs {
             trace_out: arg(args, "trace-out"),
             metrics_out: arg(args, "metrics-out"),
             critical: flag(args, "critical-path"),
-            interval_ns: arg(args, "metrics-interval")
-                .map(|s| s.parse().expect("metrics-interval"))
-                .unwrap_or(10_000),
+            interval_ns: positive(args, "metrics-interval")?.unwrap_or(10_000),
             summary_out: arg(args, "summary-out"),
-            flight: arg(args, "flight").map(|s| {
-                let n: usize = s.parse().expect("flight");
-                assert!(n >= 1, "--flight needs at least 1 span");
-                n
-            }),
+            flight: positive(args, "flight")?,
         };
-        assert!(
+        ensure(
             !(o.streaming() && (o.trace_out.is_some() || o.metrics_out.is_some() || o.critical)),
             "--summary-out/--flight use the bounded-memory streaming recorder; \
-             --trace-out/--metrics-out/--critical-path need the full recorder — pick one side"
-        );
-        o
+             --trace-out/--metrics-out/--critical-path need the full recorder — pick one side",
+        )?;
+        Ok(o)
     }
 
     fn wanted(&self) -> bool {
@@ -272,16 +326,11 @@ struct MonitorArgs {
 }
 
 impl MonitorArgs {
-    fn parse(args: &[String]) -> MonitorArgs {
-        let interval_ns = arg(args, "monitor").map(|s| {
-            let iv: u64 = s.parse().expect("monitor");
-            assert!(iv >= 1, "--monitor needs a positive interval");
-            iv
-        });
-        MonitorArgs {
-            interval_ns,
+    fn parse(args: &[String]) -> Result<MonitorArgs, UsageError> {
+        Ok(MonitorArgs {
+            interval_ns: positive(args, "monitor")?,
             health_out: arg(args, "health-out"),
-        }
+        })
     }
 
     fn active(&self) -> bool {
@@ -337,21 +386,23 @@ struct WhatIfArgs {
 }
 
 impl WhatIfArgs {
-    fn parse(args: &[String]) -> WhatIfArgs {
-        WhatIfArgs {
-            ivs: arg(args, "whatif")
-                .map(|list| {
-                    list.split(',')
-                        .map(|s| {
-                            Intervention::parse(s.trim())
-                                .unwrap_or_else(|e| panic!("--whatif {s}: {e}"))
-                        })
-                        .collect()
-                })
-                .unwrap_or_default(),
+    fn parse(args: &[String]) -> Result<WhatIfArgs, UsageError> {
+        let ivs = arg(args, "whatif")
+            .map(|list| {
+                list.split(',')
+                    .map(|s| {
+                        Intervention::parse(s.trim())
+                            .map_err(|e| UsageError(format!("--whatif {s}: {e}")))
+                    })
+                    .collect()
+            })
+            .transpose()?
+            .unwrap_or_default();
+        Ok(WhatIfArgs {
+            ivs,
             diff_against: arg(args, "diff-against"),
             obs_out: arg(args, "obs-out"),
-        }
+        })
     }
 
     fn wanted(&self) -> bool {
@@ -397,16 +448,19 @@ struct FaultArgs {
 }
 
 impl FaultArgs {
-    fn parse(args: &[String], seed: u64) -> FaultArgs {
-        FaultArgs {
-            plan: arg(args, "faults").map(|s| {
-                FaultPlan::parse(&s, seed).unwrap_or_else(|e| panic!("--faults {s}: {e}"))
-            }),
-            watchdog: arg(args, "watchdog-horizon").map(|s| {
+    fn parse(args: &[String], seed: u64) -> Result<FaultArgs, UsageError> {
+        let plan = arg(args, "faults")
+            .map(|s| {
+                FaultPlan::parse(&s, seed).map_err(|e| UsageError(format!("--faults {s}: {e}")))
+            })
+            .transpose()?;
+        let watchdog = arg(args, "watchdog-horizon")
+            .map(|s| {
                 adapt::faults::parse_duration(&s)
-                    .unwrap_or_else(|e| panic!("--watchdog-horizon {s}: {e}"))
-            }),
-        }
+                    .map_err(|e| UsageError(format!("--watchdog-horizon {s}: {e}")))
+            })
+            .transpose()?;
+        Ok(FaultArgs { plan, watchdog })
     }
 
     fn active(&self) -> bool {
@@ -482,55 +536,73 @@ fn main() {
         eprint!("{}", usage());
         return;
     }
-    let nodes: u32 = arg(&args, "nodes")
-        .map(|s| s.parse().expect("nodes"))
-        .unwrap_or(4);
-    let machine = match arg(&args, "machine").as_deref() {
-        Some("stampede2") => profiles::stampede2(nodes),
-        Some("psg") => profiles::psg(nodes),
-        Some("mini") | None => profiles::minicluster(nodes, 2, 8),
-        Some("cori") => profiles::cori(nodes),
-        Some(other) => panic!("unknown machine {other}"),
+    if let Err(UsageError(msg)) = run(&args) {
+        eprint!("{}", usage());
+        eprintln!("adapt-cli: {msg}");
+        std::process::exit(EXIT_USAGE);
+    }
+}
+
+fn run(args: &[String]) -> Result<(), UsageError> {
+    let nodes: u32 = positive(args, "nodes")?.unwrap_or(4);
+    let msg: u64 = parsed(args, "msg")?.unwrap_or(4 << 20);
+    let noise: f64 = parsed(args, "noise")?.unwrap_or(0.0);
+    ensure(
+        (0.0..50.0).contains(&noise),
+        &format!("--noise {noise}: expected a percent from 0 to under 50"),
+    )?;
+    let seed: u64 = parsed(args, "seed")?.unwrap_or(1);
+    let op = choice(args, "op", "bcast")?;
+    let lib = choice(args, "lib", "adapt")?;
+    let machine = match choice(args, "machine", "mini")?.as_str() {
+        "stampede2" => profiles::stampede2(nodes),
+        "psg" => profiles::psg(nodes),
+        "cori" => profiles::cori(nodes),
+        "mini" => profiles::minicluster(nodes, 2, 8),
+        other => unreachable!("--machine {other} passed choice()"),
     };
-    let gpu = flag(&args, "gpu") || machine.shape.gpus_per_socket > 0;
-    let msg: u64 = arg(&args, "msg")
-        .map(|s| s.parse().expect("msg"))
-        .unwrap_or(4 << 20);
-    let noise: f64 = arg(&args, "noise")
-        .map(|s| s.parse().expect("noise"))
-        .unwrap_or(0.0);
-    let seed: u64 = arg(&args, "seed")
-        .map(|s| s.parse().expect("seed"))
-        .unwrap_or(1);
-    let op = arg(&args, "op").unwrap_or_else(|| "bcast".into());
-    let lib = arg(&args, "lib").unwrap_or_else(|| "adapt".into());
-    let faults = FaultArgs::parse(&args, seed);
-    let whatif = WhatIfArgs::parse(&args);
-    let monitor = MonitorArgs::parse(&args);
+    let gpu = flag(args, "gpu") || machine.shape.gpus_per_socket > 0;
+    let faults = FaultArgs::parse(args, seed)?;
+    let whatif = WhatIfArgs::parse(args)?;
+    let monitor = MonitorArgs::parse(args)?;
+    let obs = ObsArgs::parse(args)?;
+    ensure(
+        !(whatif.wanted() && obs.streaming()),
+        "--whatif/--diff-against/--obs-out need the full recorder; \
+         drop --summary-out/--flight",
+    )?;
 
     if gpu {
-        assert!(
+        ensure(
             !faults.active(),
-            "--faults/--watchdog-horizon run on the CPU path; drop --gpu"
-        );
-        assert!(
+            "--faults/--watchdog-horizon run on the CPU path; drop --gpu",
+        )?;
+        ensure(
             !whatif.wanted(),
-            "--whatif/--diff-against/--obs-out run on the CPU path"
-        );
-        assert!(
+            "--whatif/--diff-against/--obs-out run on the CPU path",
+        )?;
+        ensure(
             !monitor.active(),
-            "--monitor/--health-out snapshot the CPU event loop; drop --gpu"
-        );
+            "--monitor/--health-out snapshot the CPU event loop; drop --gpu",
+        )?;
         let library = match lib.as_str() {
             "adapt" => GpuLibrary::OmpiAdapt,
             "default" => GpuLibrary::OmpiDefault,
             "mvapich" => GpuLibrary::Mvapich,
-            other => panic!("unknown GPU library {other}"),
+            other => {
+                return Err(UsageError(format!(
+                    "--lib {other}: the GPU path runs adapt, default or mvapich"
+                )))
+            }
         };
         let opk = match op.as_str() {
             "bcast" => OpKind::Bcast,
             "reduce" => OpKind::Reduce,
-            other => panic!("GPU runner supports bcast/reduce, not {other}"),
+            other => {
+                return Err(UsageError(format!(
+                    "--op {other}: the GPU path runs bcast or reduce"
+                )))
+            }
         };
         let case = GpuCase {
             nranks: machine.gpu_job_size(),
@@ -550,12 +622,12 @@ fn main() {
             stats.events, stats.messages, stats.rendezvous
         );
         println!("  audit: clean (invariants asserted by the runner)");
-        return;
+        return Ok(());
     }
 
-    if flag(&args, "describe") {
+    if flag(args, "describe") {
         print!("{}", adapt::topology::describe_machine(&machine));
-        return;
+        return Ok(());
     }
 
     let nranks = machine.cpu_job_size();
@@ -613,12 +685,6 @@ fn main() {
             } else {
                 ClusterNoise::silent(nranks)
             };
-            let obs = ObsArgs::parse(&args);
-            assert!(
-                !(whatif.wanted() && obs.streaming()),
-                "--whatif/--diff-against/--obs-out need the full recorder; \
-                 drop --summary-out/--flight"
-            );
             let mut world = monitor.attach(World::cpu(machine, nranks, noise_model));
             if obs.wanted() || whatif.wanted() {
                 world = world.with_recorder(obs.recorder());
@@ -642,7 +708,7 @@ fn main() {
                 let data = res.obs.as_ref().expect("recorder attached");
                 whatif.emit(data, &|_| None);
             }
-            return;
+            return Ok(());
         }
         _ => {}
     }
@@ -654,12 +720,12 @@ fn main() {
         "intel" => Library::IntelMpi,
         "cray" => Library::CrayMpi,
         "mvapich" => Library::Mvapich,
-        other => panic!("unknown library {other}"),
+        other => unreachable!("--lib {other} passed choice()"),
     };
     let opk = match op.as_str() {
         "bcast" => OpKind::Bcast,
         "reduce" => OpKind::Reduce,
-        other => panic!("unknown op {other}"),
+        other => unreachable!("--op {other} is a spec op handled above"),
     };
     let case = CollectiveCase {
         machine,
@@ -668,7 +734,7 @@ fn main() {
         library,
         msg_bytes: msg,
     };
-    if let Some(path) = arg(&args, "trace") {
+    if let Some(path) = arg(args, "trace") {
         // Traced single run (ignores --noise scope subtleties).
         let noise_model =
             adapt::collectives::noise_for_case(&case, NoiseScope::PerNode, noise, seed);
@@ -686,14 +752,8 @@ fn main() {
         faults.summary(&res);
         println!("  {}", res.audit);
         monitor.emit(&res);
-        return;
+        return Ok(());
     }
-    let obs = ObsArgs::parse(&args);
-    assert!(
-        !(whatif.wanted() && obs.streaming()),
-        "--whatif/--diff-against/--obs-out need the full recorder; \
-         drop --summary-out/--flight"
-    );
     if obs.wanted() || whatif.wanted() {
         // Recorded run: same world and programs as run_once_scoped, with a
         // recorder attached. Results are identical either way — recording
@@ -732,7 +792,7 @@ fn main() {
                     .map(|r| r.makespan.as_nanos())
             });
         }
-        return;
+        return Ok(());
     }
     if faults.active() {
         let (world, programs) = world_for_case(&case, NoiseScope::PerNode, noise, seed);
@@ -747,7 +807,7 @@ fn main() {
         faults.summary(&res);
         println!("  audit: clean (invariants asserted by the runner)");
         monitor.emit(&res);
-        return;
+        return Ok(());
     }
     if monitor.active() {
         // Same world and programs as run_once_scoped, routed through the
@@ -764,7 +824,7 @@ fn main() {
         print!("{}", res.stats);
         println!("  audit: clean (invariants asserted by the runner)");
         monitor.emit(&res);
-        return;
+        return Ok(());
     }
     let (us, stats) = run_once_scoped(&case, NoiseScope::PerNode, noise, seed);
     println!(
@@ -773,6 +833,7 @@ fn main() {
     );
     print!("{stats}");
     println!("  audit: clean (invariants asserted by the runner)");
+    Ok(())
 }
 
 #[cfg(test)]

@@ -41,3 +41,44 @@ fn valid_quick_run_exits_0() {
     );
     assert!(stdout.contains("audit: clean"), "{stdout}");
 }
+
+/// Every malformed value is a usage error: exit 2, the usage, the flag
+/// and its value named on stderr, no panic, and nothing run.
+#[test]
+fn malformed_values_exit_2_and_name_the_flag() {
+    let base = ["--machine", "mini", "--nodes", "2", "--msg", "4096"];
+    let cases: &[(&[&str], &str)] = &[
+        (&["--nodes", "x"], "--nodes x"),
+        (&["--nodes", "0"], "--nodes needs at least 1"),
+        (&["--msg", "1k"], "--msg 1k"),
+        (&["--seed", "-3"], "--seed -3"),
+        (&["--noise", "ten"], "--noise ten"),
+        (&["--noise", "100"], "--noise 100"),
+        (&["--monitor", "0"], "--monitor needs at least 1"),
+        (&["--monitor", "fast"], "--monitor fast"),
+        (&["--flight", "-1"], "--flight -1"),
+        (&["--metrics-interval", "1e4"], "--metrics-interval 1e4"),
+        (&["--machine", "summit"], "--machine summit"),
+        (&["--lib", "openmpi"], "--lib openmpi"),
+        (&["--op", "allgatherv"], "--op allgatherv"),
+        (&["--faults", "loss=2"], "--faults loss=2"),
+        (&["--watchdog-horizon", "soon"], "--watchdog-horizon soon"),
+        (&["--whatif", "faster"], "--whatif faster"),
+        (
+            &["--summary-out", "s.json", "--critical-path"],
+            "pick one side",
+        ),
+    ];
+    for (extra, needle) in cases {
+        // Later occurrences of a flag do not override earlier ones, so the
+        // malformed value goes first.
+        let args: Vec<&str> = extra.iter().chain(base.iter()).copied().collect();
+        let out = cli(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr:\n{stderr}");
+        assert!(stderr.contains("usage: adapt-cli"), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}
