@@ -47,7 +47,8 @@ impl Tree {
     /// Build a *partial* tree: a shape over `members` (whose first element
     /// is the sub-root) embedded in a canvas of `n` ranks. Ranks outside
     /// `members` are isolated (no parent, no children) — hierarchical
-    /// phase collectives use this so non-participants no-op.
+    /// phase collectives build one per group and give every rank the tree
+    /// leaves isolated an idle phase.
     pub fn partial(kind: TreeKind, n: u32, members: &[Rank]) -> Tree {
         assert!(!members.is_empty(), "partial tree needs members");
         let mut tree = Tree::empty(n, members[0]);

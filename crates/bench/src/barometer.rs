@@ -33,10 +33,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// The PR this working tree belongs to — the default `pr` stamp for
-/// freshly recorded ledger entries.
-pub const CURRENT_PR: u32 = 8;
-
 /// Default ledger location, relative to the repo root.
 pub const LEDGER_PATH: &str = "results/barometer.jsonl";
 
@@ -576,6 +572,19 @@ pub fn load_ledger(path: &Path) -> Result<Vec<LedgerEntry>, String> {
         .filter(|l| !l.trim().is_empty())
         .map(LedgerEntry::parse_line)
         .collect()
+}
+
+/// The `pr` stamp for entries recorded at `rev` when none is given: the
+/// `pr` of an entry already recorded at that rev, otherwise one more than
+/// the highest `pr` in the ledger. A tree outside a git checkout (rev
+/// `unknown`) never matches an earlier one.
+pub fn next_pr(ledger: &[LedgerEntry], rev: &str) -> u32 {
+    ledger
+        .iter()
+        .rev()
+        .find(|e| e.rev == rev && rev != "unknown")
+        .map(|e| e.pr)
+        .unwrap_or_else(|| ledger.iter().map(|e| e.pr).max().unwrap_or(0) + 1)
 }
 
 /// Append entries to the ledger, creating it (and its directory) on
@@ -1121,6 +1130,23 @@ threads = 4
         // the chained `before_*` baseline is dropped on the floor.
         assert!((e.wall_min_ms - e.wall_ms).abs() < 1e-9);
         assert!((e.events_per_sec - 7546014.3).abs() < 1e-6);
+    }
+
+    #[test]
+    fn next_pr_reuses_the_revs_label_or_follows_the_highest() {
+        assert_eq!(next_pr(&[], "aaaa"), 1);
+        let ledger = vec![
+            entry("s1", 2, "aaaa", 1000.0),
+            entry("s1", 14, "cccc", 1000.0),
+            entry("s2", 8, "bbbb", 1000.0),
+            entry("s1", 3, "unknown", 1000.0),
+        ];
+        // A rev already recorded keeps its label, even below the highest.
+        assert_eq!(next_pr(&ledger, "bbbb"), 8);
+        assert_eq!(next_pr(&ledger, "aaaa"), 2);
+        // A new rev follows the highest label, wherever it sits.
+        assert_eq!(next_pr(&ledger, "dddd"), 15);
+        assert_eq!(next_pr(&ledger, "unknown"), 15);
     }
 
     #[test]

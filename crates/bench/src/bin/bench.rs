@@ -14,6 +14,10 @@
 //! committed one. `--gate PCT` makes `diff` exit non-zero when any
 //! scenario's events/sec drops more than PCT percent.
 //!
+//! `record` without `--pr` labels its entries with the `pr` of an entry
+//! already recorded at the same rev, or one more than the highest `pr`
+//! in the ledger.
+//!
 //! `import` backfills the ledger from a legacy `BENCH_PRn.json`
 //! snapshot, taking only its absolute numbers (the folded-in `before_*`
 //! baseline is the chained-ratio bug the ledger replaces).
@@ -24,8 +28,8 @@
 //! threaded measurement is never paired against a sequential one.
 
 use adapt_bench::barometer::{
-    append_entries, diff, gate, import_legacy, load_corpus, load_ledger, render_diff, render_rank,
-    LedgerEntry, Sel, CURRENT_PR, LEDGER_PATH,
+    append_entries, diff, gate, import_legacy, load_corpus, load_ledger, next_pr, render_diff,
+    render_rank, LedgerEntry, Sel, LEDGER_PATH,
 };
 use adapt_bench::Scale;
 use std::path::PathBuf;
@@ -133,8 +137,11 @@ fn run(cli: Cli) -> Result<(), String> {
         "record" => {
             let scale = if cli.quick { Scale::Quick } else { Scale::Full };
             let scale_name = if cli.quick { "quick" } else { "full" };
-            let pr = cli.pr.unwrap_or(CURRENT_PR);
             let rev = cli.rev.unwrap_or_else(git_rev);
+            let pr = match cli.pr {
+                Some(pr) => pr,
+                None => next_pr(&load_ledger(&cli.ledger)?, &rev),
+            };
             let corpus = load_corpus(&cli.scenarios)?;
             let corpus: Vec<_> = match &cli.filter {
                 Some(f) => corpus.into_iter().filter(|s| s.name.contains(f)).collect(),

@@ -258,6 +258,26 @@ impl ProgramCtx for PhasedCtx<'_> {
     }
 }
 
+/// Whether `tree` gives `rank` a parent or a child: a group's phase only
+/// has work on the ranks its tree links.
+fn linked(tree: &Tree, rank: u32) -> bool {
+    tree.parent(rank).is_some() || !tree.children(rank).is_empty()
+}
+
+/// The phase of a rank its group's tree does not link: it finishes at
+/// once. Zero-sized, so boxing it allocates nothing.
+struct IdlePhase;
+
+impl RankProgram for IdlePhase {
+    fn on_start(&mut self, ctx: &mut dyn ProgramCtx) {
+        ctx.finish();
+    }
+
+    fn on_completion(&mut self, _ctx: &mut dyn ProgramCtx, completion: Completion) {
+        unreachable!("idle phase posts nothing, got {completion:?}");
+    }
+}
+
 /// Per-level shapes and segment sizes for hierarchical collectives.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HierLevels {
@@ -327,19 +347,22 @@ impl HierBcastSpec {
                     None
                 }));
                 // Every rank runs every phase in the same order so the
-                // per-phase tag ranges agree across ranks; phases that do
-                // not involve `r` no-op instantly.
+                // per-phase tag ranges agree across ranks; phases whose
+                // tree does not link `r` get an idle phase.
                 let phases: Vec<Box<dyn RankProgram>> = std::iter::once(&cluster_tree)
                     .chain(node_trees.iter())
                     .chain(socket_trees.iter())
-                    .map(|tree| {
+                    .map(|tree| -> Box<dyn RankProgram> {
+                        if !linked(tree, r) {
+                            return Box::new(IdlePhase);
+                        }
                         Box::new(WaitallBcast::phase(
                             tree,
                             self.msg_bytes,
                             self.levels.seg_size,
                             slot.clone(),
                             r,
-                        )) as Box<dyn RankProgram>
+                        ))
                     })
                     .collect();
                 (phases, slot)
@@ -403,12 +426,16 @@ impl HierReduceSpec {
                 };
                 let slot: DataSlot = Rc::new(std::cell::RefCell::new(Some(own)));
                 // Reduce flows bottom-up: socket first, cluster last. As in
-                // broadcast, every rank runs every phase so tag ranges agree.
+                // broadcast, every rank runs every phase so tag ranges
+                // agree, and phases that do not link `r` are idle.
                 let phases: Vec<Box<dyn RankProgram>> = socket_trees
                     .iter()
                     .chain(node_trees.iter())
                     .chain(std::iter::once(&cluster_tree))
-                    .map(|tree| {
+                    .map(|tree| -> Box<dyn RankProgram> {
+                        if !linked(tree, r) {
+                            return Box::new(IdlePhase);
+                        }
                         Box::new(WaitallReduce::phase(
                             tree,
                             self.msg_bytes,
@@ -416,7 +443,7 @@ impl HierReduceSpec {
                             op_dtype,
                             slot.clone(),
                             r,
-                        )) as Box<dyn RankProgram>
+                        ))
                     })
                     .collect();
                 (phases, slot)

@@ -866,15 +866,26 @@ mod tests {
     #[test]
     fn phase_lists_cover_every_rank_and_flatten_hierarchies() {
         // Plain libraries: one phase per rank. Hierarchical: 1 + nodes +
-        // sockets phases (non-participants no-op), so back-to-back chaining
-        // never nests PhasedPrograms.
+        // sockets phases, so back-to-back chaining never nests
+        // PhasedPrograms. The spec gives a rank an idle phase for every
+        // group it is not a member of; idle phases are zero-sized.
         let plain = mini_case(Library::OmpiAdapt, OpKind::Bcast, 1 << 20).phase_lists();
         assert_eq!(plain.len(), 32);
         assert!(plain.iter().all(|p| p.len() == 1));
-        let hier = mini_case(Library::IntelMpi, OpKind::Bcast, 1 << 20).phase_lists();
-        assert_eq!(hier.len(), 32);
-        // minicluster(4,2,4): 1 cluster + 4 node + 8 socket groups.
-        assert!(hier.iter().all(|p| p.len() == 13), "got {}", hier[0].len());
+        for op in [OpKind::Bcast, OpKind::Reduce] {
+            let hier = mini_case(Library::IntelMpi, op, 1 << 20).phase_lists();
+            assert_eq!(hier.len(), 32);
+            for (r, phases) in hier.iter().enumerate() {
+                // minicluster(4,2,4): 1 cluster + 4 node + 8 socket groups,
+                // and a rank is a member of at most one group per level.
+                assert_eq!(phases.len(), 13, "{op:?} rank {r}");
+                let busy = phases
+                    .iter()
+                    .filter(|p| std::mem::size_of_val(&***p) != 0)
+                    .count();
+                assert!(busy <= 3, "{op:?} rank {r}: {busy} non-idle phases");
+            }
+        }
     }
 
     #[test]

@@ -94,8 +94,9 @@ impl WaitallBcast {
 
     /// Build a *phase* program over a partial tree: the sub-root reads its
     /// payload from `slot` when the phase starts, and every receiver writes
-    /// the assembled payload back to its own slot on completion. Ranks not
-    /// linked in `tree` no-op.
+    /// the assembled payload back to its own slot on completion. The
+    /// hierarchical specs build it only for ranks `tree` links; the others
+    /// get an idle phase.
     pub fn phase(
         tree: &Tree,
         msg_bytes: u64,

@@ -381,7 +381,8 @@ fn dump_flight_on_dirty_audit(res: &adapt::mpi::RunResult) {
 /// baseline differencing. All three force a recorded run.
 struct WhatIfArgs {
     ivs: Vec<Intervention>,
-    diff_against: Option<String>,
+    /// The `--diff-against` baseline, read and parsed before the run.
+    diff_against: Option<ObsData>,
     obs_out: Option<String>,
 }
 
@@ -398,9 +399,17 @@ impl WhatIfArgs {
             })
             .transpose()?
             .unwrap_or_default();
+        let diff_against = arg(args, "diff-against")
+            .map(|path| {
+                std::fs::read_to_string(&path)
+                    .map_err(|e| e.to_string())
+                    .and_then(|text| from_json(&text))
+                    .map_err(|e| UsageError(format!("--diff-against {path}: {e}")))
+            })
+            .transpose()?;
         Ok(WhatIfArgs {
             ivs,
-            diff_against: arg(args, "diff-against"),
+            diff_against,
             obs_out: arg(args, "obs-out"),
         })
     }
@@ -432,10 +441,7 @@ impl WhatIfArgs {
             }
         }
         if let Some(base) = &self.diff_against {
-            let text = std::fs::read_to_string(base)
-                .unwrap_or_else(|e| panic!("--diff-against {base}: {e}"));
-            let a = from_json(&text).unwrap_or_else(|e| panic!("--diff-against {base}: {e}"));
-            print!("{}", diff_runs(&a, obs).render());
+            print!("{}", diff_runs(base, obs).render());
         }
     }
 }

@@ -47,7 +47,18 @@ fn valid_quick_run_exits_0() {
 #[test]
 fn malformed_values_exit_2_and_name_the_flag() {
     let base = ["--machine", "mini", "--nodes", "2", "--msg", "4096"];
+    let tmp = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let missing = tmp.join("no-such-baseline.json");
+    let _ = std::fs::remove_file(&missing);
+    let missing = missing.to_str().expect("utf-8 temp path");
+    let garbled = tmp.join("garbled-baseline.json");
+    std::fs::write(&garbled, "{\"format\": ").expect("write garbled baseline");
+    let garbled = garbled.to_str().expect("utf-8 temp path");
+    let missing_needle = format!("--diff-against {missing}");
+    let garbled_needle = format!("--diff-against {garbled}");
     let cases: &[(&[&str], &str)] = &[
+        (&["--diff-against", missing], &missing_needle),
+        (&["--diff-against", garbled], &garbled_needle),
         (&["--nodes", "x"], "--nodes x"),
         (&["--nodes", "0"], "--nodes needs at least 1"),
         (&["--msg", "1k"], "--msg 1k"),

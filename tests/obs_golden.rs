@@ -180,23 +180,27 @@ fn stall_dumps_a_valid_flight_fragment() {
 #[test]
 fn phase_spans_nest_and_cover_hierarchical_runs() {
     // A hierarchical (phased) library emits phase begin/end marks; the
-    // trace still validates, and every begin has a matching end.
-    let case = CollectiveCase {
-        machine: profiles::minicluster(2, 2, 4),
-        nranks: 16,
-        op: OpKind::Bcast,
-        library: Library::IntelMpi,
-        msg_bytes: 256 << 10,
-    };
-    let (world, programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
-    let res = world
-        .with_recorder(Box::new(MemRecorder::new()))
-        .run(programs);
-    assert!(res.audit.is_clean(), "{}", res.audit);
-    let obs = res.obs.as_ref().unwrap();
-    let begins = obs.phases.iter().filter(|p| p.begin).count();
-    let ends = obs.phases.iter().filter(|p| !p.begin).count();
-    assert!(begins > 0, "hierarchical run recorded no phase marks");
-    assert_eq!(begins, ends, "unbalanced phase begin/end marks");
-    validate_chrome(&chrome_trace(obs)).expect("phased trace must validate");
+    // trace still validates, and every begin has a matching end. Every
+    // rank marks every phase, idle or not: minicluster(2, 2, 4) has
+    // 1 cluster + 2 node + 4 socket groups, so 16 ranks x 7 phases.
+    for op in [OpKind::Bcast, OpKind::Reduce] {
+        let case = CollectiveCase {
+            machine: profiles::minicluster(2, 2, 4),
+            nranks: 16,
+            op,
+            library: Library::IntelMpi,
+            msg_bytes: 256 << 10,
+        };
+        let (world, programs) = world_for_case(&case, NoiseScope::PerNode, 0.0, 1);
+        let res = world
+            .with_recorder(Box::new(MemRecorder::new()))
+            .run(programs);
+        assert!(res.audit.is_clean(), "{op:?}: {}", res.audit);
+        let obs = res.obs.as_ref().unwrap();
+        let begins = obs.phases.iter().filter(|p| p.begin).count();
+        let ends = obs.phases.iter().filter(|p| !p.begin).count();
+        assert_eq!(begins, 16 * 7, "{op:?}: phase begin marks");
+        assert_eq!(ends, 16 * 7, "{op:?}: phase end marks");
+        validate_chrome(&chrome_trace(obs)).expect("phased trace must validate");
+    }
 }
