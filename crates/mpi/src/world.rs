@@ -33,7 +33,7 @@ use adapt_obs::{
     ObsData, ObsSummary, ProtoKind, Recorder, SnapshotInput, Trigger,
 };
 use adapt_sim::audit::{AuditReport, RankAudit};
-use adapt_sim::fxhash::{FxHashMap, FxHashSet};
+use adapt_sim::fxhash::FxHashMap;
 use adapt_sim::queue::{EventKey, EventQueue, QueueCounters};
 use adapt_sim::rng::{MasterSeed, StreamTag};
 use adapt_sim::time::{Duration, Time};
@@ -220,13 +220,13 @@ struct FaultState {
     rng: SmallRng,
     /// Sender-side: un-acked transfers by lane key.
     xfers: FxHashMap<XferKey, Xfer>,
-    /// Receiver-side duplicate suppression: lanes already processed once,
-    /// with the ack return route and acking rank for re-acking
-    /// retransmitted duplicates.
-    seen: FxHashMap<XferKey, (Rank, Path)>,
-    /// Sender messages whose payload drain already fired SendDone
-    /// (retransmit drains must not fire it again).
-    done_fired: FxHashSet<MsgId>,
+    /// Per-message reliability history, indexed by `MsgId`: one record
+    /// per message started while the plan is attached (ids are
+    /// sequential from 0, so each push lands at its own index). Unlike
+    /// the in-flight tables it is never pruned — a retransmitted
+    /// duplicate can arrive long after its message retired — so it
+    /// costs a fixed 12 bytes per message.
+    history: Vec<MsgHistory>,
     /// Per-rank stall schedules (`None` = rank never stalls, delegating
     /// straight to the noise model).
     stalls: Vec<Option<Schedule>>,
@@ -252,15 +252,33 @@ struct FaultState {
     rel_active: bool,
     /// The plan can kill ranks (cheap gate for the kill bookkeeping).
     kills_enabled: bool,
-    /// Payload flows (eager or rendezvous data) actually injected into
-    /// the network, tracked only when kills are enabled: the audit uses
-    /// it to split failed bytes into launched and never-launched.
-    data_injected: FxHashSet<MsgId>,
-    /// Sends completed (SendDone) by the failure detector because their
-    /// receiver died before the payload launched — a CTS already in
-    /// flight at detection time must not start the data after all.
-    send_failed: FxHashSet<MsgId>,
 }
+
+/// What the reliability layer remembers about one message for the rest
+/// of the run. The endpoints let a late duplicate recompute its ack's
+/// sender and reverse route (`Fabric::route` is a pure function of the
+/// endpoints: fault commands rescale links but never reroute).
+#[derive(Clone, Copy, Debug)]
+struct MsgHistory {
+    src: Rank,
+    dst: Rank,
+    /// Bit `1 << lane` per transfer lane the receiver already processed
+    /// once (a later copy is a retransmitted duplicate), plus the
+    /// `DONE_FIRED`, `DATA_INJECTED` and `SEND_FAILED` bits.
+    flags: u8,
+}
+
+/// The payload drain already fired SendDone (retransmit drains must not
+/// fire it again).
+const DONE_FIRED: u8 = 1 << 3;
+/// A payload flow (eager or rendezvous data) was actually injected into
+/// the network. Set only when kills are enabled: the audit uses it to
+/// split failed bytes into launched and never-launched.
+const DATA_INJECTED: u8 = 1 << 4;
+/// The failure detector completed this send (SendDone) because its
+/// receiver died before the payload launched — a CTS already in flight
+/// at detection time must not start the data after all.
+const SEND_FAILED: u8 = 1 << 5;
 
 impl FaultState {
     fn new(plan: FaultPlan, nranks: u32) -> FaultState {
@@ -284,8 +302,7 @@ impl FaultState {
             plan,
             rng,
             xfers: FxHashMap::default(),
-            seen: FxHashMap::default(),
-            done_fired: FxHashSet::default(),
+            history: Vec::new(),
             stalls,
             retrans_bytes: 0,
             dead_at: vec![None; nranks as usize],
@@ -294,8 +311,6 @@ impl FaultState {
             failed_order: Vec::new(),
             rel_active,
             kills_enabled,
-            data_injected: FxHashSet::default(),
-            send_failed: FxHashSet::default(),
         }
     }
 
@@ -311,6 +326,19 @@ impl FaultState {
                 .as_nanos()
                 .saturating_mul(self.plan.rel.max_retries as u64 + 1),
         )
+    }
+
+    /// Does message `m` carry `flag`?
+    fn flagged(&self, m: MsgId, flag: u8) -> bool {
+        self.history[m as usize].flags & flag != 0
+    }
+
+    /// Set `flag` on message `m`; `true` if it was not already set.
+    fn set_flag(&mut self, m: MsgId, flag: u8) -> bool {
+        let h = &mut self.history[m as usize];
+        let fresh = h.flags & flag == 0;
+        h.flags |= flag;
+        fresh
     }
 
     /// Is either endpoint of the pair dead?
@@ -584,6 +612,9 @@ world_stats! {
     /// Rank failures the heartbeat detector converged on and announced
     /// to survivors.
     failures_detected,
+    /// Rank events that reached a busy (or noise- or stall-deferred) rank
+    /// and were pushed back to the queue at the rank's ready instant.
+    rank_redeferrals,
     /// Event-queue diagnostics: schedules appended to bucket 0 (due at the
     /// instant being processed, or clamped to it).
     queue_now_pushes,
@@ -1273,11 +1304,15 @@ impl World {
         let stuck: Vec<u32> = (0..self.nranks())
             .filter(|&r| self.ranks[r as usize].finished_at.is_none())
             .collect();
-        let mut sample: Vec<String> = self
-            .msgs
+        // The lowest live ids, in numeric order: hash-map iteration order
+        // depends on the table's capacity history.
+        let mut ids: Vec<MsgId> = self.msgs.keys().copied().collect();
+        ids.sort_unstable();
+        let sample: Vec<String> = ids
             .iter()
             .take(8)
-            .map(|(id, m)| {
+            .map(|id| {
+                let m = &self.msgs[id];
                 format!(
                     "msg{id}: {}->{} tag={} bytes={} recv_token={:?}",
                     m.src,
@@ -1288,7 +1323,6 @@ impl World {
                 )
             })
             .collect();
-        sample.sort();
         let mut detail = format!(
             "deadlock: {} of {} ranks never finished (e.g. ranks {:?}) — {} at t={}ns; \
              posted={}, unexpected_eager={}, unexpected_rts={}, in-flight msgs={}, \
@@ -1446,8 +1480,8 @@ impl World {
             if msg.dst == rank
                 && msg.payload.len() > self.spec.eager_limit
                 && fs.dead_at[msg.src as usize].is_none()
-                && !fs.data_injected.contains(&m)
-                && fs.send_failed.insert(m)
+                && !fs.flagged(m, DATA_INJECTED)
+                && fs.set_flag(m, SEND_FAILED)
             {
                 to_complete.push((m, msg.src, msg.send_token));
             }
@@ -1551,7 +1585,7 @@ impl World {
                 // "never launched at all" (a rendezvous whose CTS the
                 // dead receiver never sent).
                 if let FlowKind::EagerData(m) | FlowKind::RndvData(m) = kind {
-                    fs.data_injected.insert(m);
+                    fs.set_flag(m, DATA_INJECTED);
                 }
                 // A killed host neither sources nor sinks traffic: any
                 // protocol flow touching it is doomed — it still spends
@@ -1771,41 +1805,25 @@ impl World {
         let Some(key) = xfer_key(kind) else {
             return false; // local copy: not a reliable lane
         };
+        // The ack travels the host-to-host reverse route (CTS travels
+        // receiver→sender, so its ack flows sender→receiver). A
+        // retransmitted duplicate of an already-processed lane (its
+        // message may be long gone) is just acked again.
         let fs = self.faults.as_mut().expect("faults active");
-        if let Some(&(from, back)) = fs.seen.get(&key) {
-            // Retransmitted duplicate: the lane was already processed
-            // (its message may be long gone) — just ack again.
-            self.stats.duplicates_suppressed += 1;
-            self.queue.schedule(
-                t,
-                Ev::Launch {
-                    kind: FlowKind::Ack { key, from },
-                    path: back,
-                    bytes: 0,
-                },
-            );
-            return true;
-        }
-        // First delivery of this lane: record it and send the ack over
-        // the host-to-host reverse route (CTS travels receiver→sender, so
-        // its ack flows sender→receiver).
         let m = key >> 2;
-        let msg = &self.msgs[&m];
-        let from = if key & 3 == LANE_CTS {
-            msg.src
+        let duplicate = !fs.set_flag(m, 1 << (key & 3));
+        let MsgHistory { src, dst, .. } = fs.history[m as usize];
+        let (from, to) = if key & 3 == LANE_CTS {
+            (src, dst)
         } else {
-            msg.dst
+            (dst, src)
         };
-        let to = if key & 3 == LANE_CTS {
-            msg.dst
-        } else {
-            msg.src
-        };
+        if duplicate {
+            self.stats.duplicates_suppressed += 1;
+        }
         let back = self
             .fabric
             .route(self.placement.host_mem(from), self.placement.host_mem(to));
-        let fs = self.faults.as_mut().expect("faults active");
-        fs.seen.insert(key, (from, back));
         self.queue.schedule(
             t,
             Ev::Launch {
@@ -1814,7 +1832,7 @@ impl World {
                 bytes: 0,
             },
         );
-        false
+        duplicate
     }
 
     /// Assemble the end-of-run invariant report (see
@@ -1840,7 +1858,7 @@ impl World {
                 for (&m, msg) in &self.msgs {
                     if fs.endpoint_dead(msg.src, msg.dst) {
                         failed_bytes += msg.payload.len();
-                        if !fs.data_injected.contains(&m) {
+                        if !fs.flagged(m, DATA_INJECTED) {
                             failed_unlaunched += msg.payload.len();
                         }
                     } else {
@@ -2017,7 +2035,7 @@ impl World {
                             // removal from the in-flight table. Without
                             // retransmits (kill-only plans) every payload
                             // drains exactly once, so nothing to dedupe.
-                            if fs.rel_active && !fs.done_fired.insert(m) {
+                            if fs.rel_active && !fs.set_flag(m, DONE_FIRED) {
                                 return;
                             }
                         }
@@ -2238,6 +2256,7 @@ impl World {
 
         let ready = self.cpu_ready(rank, t);
         if ready > t {
+            self.stats.rank_redeferrals += 1;
             self.queue.schedule(ready, Ev::Rank { rank, item });
             return;
         }
@@ -2253,7 +2272,7 @@ impl World {
                 if self
                     .faults
                     .as_deref()
-                    .is_some_and(|f| f.send_failed.contains(&m))
+                    .is_some_and(|f| f.flagged(m, SEND_FAILED))
                 {
                     return;
                 }
@@ -2730,6 +2749,10 @@ impl World {
         let bytes = payload.len();
         let m = self.next_msg;
         self.next_msg += 1;
+        if let Some(fs) = self.faults.as_mut() {
+            debug_assert_eq!(fs.history.len() as u64, m, "MsgIds are sequential");
+            fs.history.push(MsgHistory { src, dst, flags: 0 });
+        }
         if self.obs_on {
             self.obs.msg_posted(
                 m,
@@ -2868,5 +2891,17 @@ impl World {
             posted_at: at,
         });
         Duration::ZERO
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The reliability history grows by one record per message for the
+    /// whole run, so its size is the lossy path's memory per message.
+    #[test]
+    fn msg_history_record_is_at_most_12_bytes() {
+        assert!(std::mem::size_of::<MsgHistory>() <= 12);
     }
 }

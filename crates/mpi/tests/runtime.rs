@@ -1,7 +1,7 @@
 //! End-to-end tests of the simulated MPI runtime: protocol behaviour,
 //! timing, noise interaction, determinism.
 
-use adapt_mpi::{Completion, Payload, ProgramCtx, RankProgram, Token, World};
+use adapt_mpi::{Completion, Payload, ProgramCtx, RankProgram, RunError, Token, World};
 use adapt_noise::{ClusterNoise, DurationLaw, NoiseSpec};
 use adapt_sim::rng::MasterSeed;
 use adapt_sim::time::{Duration, Time};
@@ -537,4 +537,95 @@ fn unexpected_eager_matches_before_unexpected_rts() {
         .downcast::<LateWildcardReceiver>()
         .unwrap();
     assert_eq!(recv.tags, vec![5, 7], "eager must match before RTS");
+}
+
+/// A stalled run's diagnosis samples the 8 lowest live message ids in
+/// numeric order (so `msg9` lists before `msg10`), not the first 8 in
+/// hash-iteration order.
+#[test]
+fn stall_diagnosis_samples_lowest_msg_ids_in_order() {
+    /// Sends five tag-1 messages that are received, then twelve tag-2
+    /// messages nobody receives.
+    struct Flood;
+    impl RankProgram for Flood {
+        fn on_start(&mut self, ctx: &mut dyn ProgramCtx) {
+            for (i, tag) in [1, 1, 1, 1, 1].into_iter().chain([2; 12]).enumerate() {
+                ctx.isend(1, tag, Payload::Synthetic(64), Token(i as u64));
+            }
+        }
+        fn on_completion(&mut self, _: &mut dyn ProgramCtx, _: Completion) {}
+    }
+    /// Receives the five tag-1 messages, then waits on a tag never sent.
+    struct Drain(u32);
+    impl RankProgram for Drain {
+        fn on_start(&mut self, ctx: &mut dyn ProgramCtx) {
+            for i in 0..5 {
+                ctx.irecv(0, 1, Token(i));
+            }
+        }
+        fn on_completion(&mut self, ctx: &mut dyn ProgramCtx, _: Completion) {
+            self.0 += 1;
+            if self.0 == 5 {
+                ctx.irecv(0, 99, Token(99));
+            }
+        }
+    }
+    let world = two_rank_world(ClusterNoise::silent(2));
+    let Err(err) = world.try_run(vec![Box::new(Flood), Box::new(Drain(0))]) else {
+        panic!("the tag-99 receive can never match");
+    };
+    let RunError::Stalled(diag) = *err else {
+        panic!("expected a stall, got {err}");
+    };
+    let (_, sample) = diag
+        .detail
+        .split_once("sample msgs:")
+        .expect("diagnosis lists sample msgs");
+    let ids: Vec<u64> = sample
+        .lines()
+        .filter_map(|l| {
+            l.trim()
+                .strip_prefix("msg")?
+                .split(':')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .collect();
+    assert_eq!(ids, (5..13).collect::<Vec<u64>>(), "{}", diag.detail);
+}
+
+/// `rank_redeferrals` counts rank events pushed back because the rank
+/// was busy: none on an idle receiver, and two for a SendDone that lands
+/// during the sender's 100 us compute — once to the compute's end, and
+/// once more because the ComputeDone due at that instant was queued
+/// first and holds the CPU for its progress overhead.
+#[test]
+fn rank_redeferrals_count_events_pushed_back_by_a_busy_rank() {
+    let (_, quiet) = send_recv(4096, Duration::ZERO);
+    assert_eq!(quiet.rank_redeferrals, 0);
+
+    /// Posts an eager send, then a long compute that still holds the CPU
+    /// when the send's SendDone arrives.
+    struct BusySender;
+    impl RankProgram for BusySender {
+        fn on_start(&mut self, ctx: &mut dyn ProgramCtx) {
+            ctx.isend(1, 0, Payload::Synthetic(64), Token(1));
+            ctx.compute(Duration::from_micros(100), Token(9));
+        }
+        fn on_completion(&mut self, ctx: &mut dyn ProgramCtx, c: Completion) {
+            if matches!(c, Completion::SendDone { .. }) {
+                ctx.finish();
+            }
+        }
+    }
+    let world = two_rank_world(ClusterNoise::silent(2));
+    let res = world.run(vec![
+        Box::new(BusySender),
+        Box::new(Receiver {
+            delay: Duration::ZERO,
+            got: None,
+        }),
+    ]);
+    assert_eq!(res.stats.rank_redeferrals, 2);
 }

@@ -285,8 +285,10 @@ impl Network {
     /// Visit every link currently carrying flows, for time-series
     /// sampling: calls `f(link_id, flow_count, utilization)` where
     /// `utilization` is the summed drain rate of the link's flows over
-    /// its capacity (flows in tail contribute occupancy but no rate).
-    /// Idle links are skipped — a large machine has mostly-idle lanes.
+    /// its capacity. Only draining flows count: a flow leaves its links'
+    /// lists the moment it drains, so flows in their latency tail
+    /// contribute nothing. Idle links are skipped — a large machine has
+    /// mostly-idle lanes.
     pub fn for_each_link_load(&self, mut f: impl FnMut(u32, usize, f64)) {
         for (l, flows) in self.link_flows.iter().enumerate() {
             if flows.is_empty() {
@@ -627,9 +629,14 @@ impl Network {
             let f = self.slab[id as usize]
                 .as_ref()
                 .expect("affected flow vanished");
-            let current = match f.phase {
-                Phase::Draining { rate, .. } => rate,
-                Phase::Tail => continue,
+            // Affected flows come from `link_flows`, which a flow leaves
+            // the moment it drains: only draining flows are ever listed.
+            debug_assert!(
+                matches!(f.phase, Phase::Draining { .. }),
+                "flow {id} in its latency tail is still on a link's list"
+            );
+            let Phase::Draining { rate: current, .. } = f.phase else {
+                continue;
             };
             let unaffected = if rose { current < cmp } else { current <= cmp };
             if unaffected {
@@ -648,7 +655,7 @@ impl Network {
                 last_update,
             } = &mut f.phase
             else {
-                continue;
+                unreachable!("phase checked above");
             };
             if (*rate - new_rate).abs() <= 1e-9 * new_rate.max(*rate) {
                 continue;

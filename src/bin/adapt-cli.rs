@@ -222,6 +222,15 @@ fn choice(args: &[String], key: &str, default: &str) -> Result<String, UsageErro
     Ok(v)
 }
 
+/// Write the output file `--flag PATH` names. A path that cannot be
+/// written ends the run with [`EXIT_USAGE`] and the OS error, not a panic.
+fn write_out(flag: &str, path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("adapt-cli: cannot write --{flag} {path}: {e}");
+        std::process::exit(EXIT_USAGE);
+    }
+}
+
 /// Observability flags: where to write the Chrome trace and metrics CSV,
 /// whether to print the critical path, and the bounded-memory streaming
 /// path (`--summary-out` / `--flight`).
@@ -286,7 +295,7 @@ impl ObsArgs {
                 .as_ref()
                 .expect("streaming run carries a summary");
             if let Some(path) = &self.summary_out {
-                std::fs::write(path, summary_json(s)).expect("write summary");
+                write_out("summary-out", path, summary_json(s));
                 println!(
                     "  summary: {} msgs, {} flows aggregated online -> {path}",
                     s.msgs_posted, s.flow_starts
@@ -300,7 +309,7 @@ impl ObsArgs {
             .as_ref()
             .expect("recorded run carries observability data");
         if let Some(path) = &self.trace_out {
-            std::fs::write(path, chrome_trace(obs)).expect("write trace");
+            write_out("trace-out", path, chrome_trace(obs));
             println!(
                 "  trace: {} spans over {} msgs -> {path}",
                 obs.dispatches.len() + obs.protocols.len(),
@@ -308,7 +317,7 @@ impl ObsArgs {
             );
         }
         if let Some(path) = &self.metrics_out {
-            std::fs::write(path, metrics_csv(obs)).expect("write metrics");
+            write_out("metrics-out", path, metrics_csv(obs));
             println!("  metrics: {} samples -> {path}", obs.gauges.len());
         }
         if self.critical {
@@ -359,7 +368,7 @@ impl MonitorArgs {
             .expect("monitored run carries a health report");
         print!("{}", health_report_text(h));
         if let Some(path) = &self.health_out {
-            std::fs::write(path, health_json(h)).expect("write health");
+            write_out("health-out", path, health_json(h));
             println!("  health artifact -> {path}");
         }
     }
@@ -368,12 +377,21 @@ impl MonitorArgs {
 /// Where a stall or audit post-mortem lands (see `--flight`).
 const FLIGHT_DUMP_PATH: &str = "adapt-flight.json";
 
+/// Write the flight-recorder tail to [`FLIGHT_DUMP_PATH`] and say so
+/// after `what`. A failed write is reported and nothing more: the run's
+/// own outcome (its exit code) stands.
+fn dump_flight(frag: &str, what: &str) {
+    match std::fs::write(FLIGHT_DUMP_PATH, frag) {
+        Ok(()) => eprintln!("{what} -> {FLIGHT_DUMP_PATH}"),
+        Err(e) => eprintln!("adapt-cli: cannot write flight dump {FLIGHT_DUMP_PATH}: {e}"),
+    }
+}
+
 /// If the run completed but the audit is dirty and a flight ring was
 /// kept, write the tail before the audit assert fires.
 fn dump_flight_on_dirty_audit(res: &adapt::mpi::RunResult) {
     if let Some(frag) = &res.flight {
-        std::fs::write(FLIGHT_DUMP_PATH, frag).expect("write flight dump");
-        eprintln!("  flight recorder: audit failed, tail -> {FLIGHT_DUMP_PATH}");
+        dump_flight(frag, "  flight recorder: audit failed, tail");
     }
 }
 
@@ -424,7 +442,7 @@ impl WhatIfArgs {
     /// (then the prediction prints without a validation line).
     fn emit(&self, obs: &ObsData, rerun: &dyn Fn(&Intervention) -> Option<u64>) {
         if let Some(path) = &self.obs_out {
-            std::fs::write(path, to_json(obs)).expect("write recording");
+            write_out("obs-out", path, to_json(obs));
             println!(
                 "  recording: {} msgs, {} dispatches -> {path}",
                 obs.msgs.len(),
@@ -490,8 +508,7 @@ impl FaultArgs {
             Ok(res) => res,
             Err(err) => {
                 if let Some(frag) = err.flight() {
-                    std::fs::write(FLIGHT_DUMP_PATH, frag).expect("write flight dump");
-                    eprintln!("flight recorder: last spans -> {FLIGHT_DUMP_PATH}");
+                    dump_flight(frag, "flight recorder: last spans");
                 }
                 eprintln!("{err}");
                 let code = match *err {
@@ -748,7 +765,7 @@ fn run(args: &[String]) -> Result<(), UsageError> {
             .attach(World::cpu(case.machine.clone(), case.nranks, noise_model))
             .enable_trace();
         let res = faults.run(world, case.programs());
-        std::fs::write(&path, adapt::mpi::trace_to_csv(&res.trace)).expect("write trace");
+        write_out("trace", &path, adapt::mpi::trace_to_csv(&res.trace));
         println!(
             "{op} ({}) on {nranks} ranks: {:.1} us — {} trace events written to {path}",
             library.label(),

@@ -93,3 +93,63 @@ fn malformed_values_exit_2_and_name_the_flag() {
         assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
     }
 }
+
+/// An output path that cannot be written is reported with the flag that
+/// named it and exits 2; it never panics.
+#[test]
+fn unwritable_output_exits_2_and_names_the_flag() {
+    let out = cli(&[
+        "--machine",
+        "mini",
+        "--nodes",
+        "2",
+        "--msg",
+        "4096",
+        "--trace-out",
+        "/nonexistent-dir/x.json",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("adapt-cli: cannot write --trace-out /nonexistent-dir/x.json: "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A flight dump that cannot be written is reported, and the run keeps
+/// its own exit code (3: the watchdog diagnosed a stall).
+#[test]
+fn unwritable_flight_dump_keeps_the_stall_exit_code() {
+    // A directory where the dump file should go makes the write fail.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("flight-blocked");
+    std::fs::create_dir_all(dir.join("adapt-flight.json")).expect("create blocking dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_adapt-cli"))
+        .current_dir(&dir)
+        .args([
+            "--machine",
+            "mini",
+            "--nodes",
+            "2",
+            "--op",
+            "bcast",
+            "--msg",
+            "262144",
+            "--faults",
+            "stall=2:0-3600s",
+            "--watchdog-horizon",
+            "1ms",
+            "--flight",
+            "16",
+        ])
+        .output()
+        .expect("spawn adapt-cli");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("adapt-cli: cannot write flight dump adapt-flight.json: "),
+        "{stderr}"
+    );
+    assert!(stderr.contains("deadlock:"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
